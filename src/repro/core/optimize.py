@@ -35,6 +35,7 @@ testing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
@@ -94,7 +95,10 @@ class OptimizationBudget:
 
     Attributes:
         max_cells: Cap on DP table entries (alternatives × bins) per
-            run; ``None`` leaves the table size unbounded.
+            run; ``None`` leaves the table size unbounded.  The cap
+            counts every alternative, before the backward run's
+            dominance pruning shrinks the table, so whether a run
+            degrades does not depend on how many rows the pruning drops.
         deadline: Wall-clock seconds allowed per optimization call;
             checked before the DP starts, ``None`` disables the check.
         min_resolution: Floor for the resolution step-down; below this
@@ -309,6 +313,40 @@ def _greedy_choose(
     return chosen
 
 
+def _undominated(
+    job_g: list[float], job_z: list[int], capacity: int, *, maximize: bool
+) -> list[int]:
+    """Indices of one job's rows that can win the backward run, in order.
+
+    A row is dropped when its weight exceeds ``capacity`` or when an
+    *earlier* row weakly dominates it (``z' <= z`` and ``g'`` no worse
+    than ``g``).  Such a row is never strictly better than its dominator
+    in any ``f_i`` column, and the first-index tie-break never picks it
+    over the dominator, so the DP over the survivors returns exactly
+    what the full table would (docs/model.md, "Dominance pruning").  One pass over a staircase of ``(z, best g)``
+    steps — ``z`` ascending, ``g`` strictly improving — in O(l log l).
+    """
+    sign = -1.0 if maximize else 1.0
+    stair_z: list[int] = []
+    stair_g: list[float] = []
+    kept: list[int] = []
+    for alt, (g, z) in enumerate(zip(job_g, job_z)):
+        if z > capacity:
+            continue
+        key = sign * g
+        at = bisect.bisect_right(stair_z, z)
+        if at and stair_g[at - 1] <= key:
+            continue
+        kept.append(alt)
+        end = at
+        while end < len(stair_z) and stair_g[end] >= key:
+            end += 1
+        start = at - 1 if at and stair_z[at - 1] == z else at
+        stair_z[start:end] = [z]
+        stair_g[start:end] = [key]
+    return kept
+
+
 def _backward_run(
     g_values: list[list[float]],
     z_weights: list[list[int]],
@@ -319,24 +357,30 @@ def _backward_run(
     """Solve the multiple-choice knapsack by the paper's backward run.
 
     ``f_i(b)`` is the extremal total of ``g`` over jobs ``i..n`` when bins
-    ``b`` of the constraint remain; the recurrence is eq. (1).  Vectorised
-    over the constraint axis with numpy.
+    ``b`` of the constraint remain; the recurrence is eq. (1).  Only the
+    rows :func:`_undominated` keeps enter the table, which is vectorised
+    over the constraint axis with numpy; chosen indices refer to the
+    original alternative lists.
 
     Returns:
         ``(chosen indices, extremal objective)`` or ``None`` when no
         selection fits the capacity.
     """
+    rows = [
+        _undominated(job_g, job_z, capacity, maximize=maximize)
+        for job_g, job_z in zip(g_values, z_weights)
+    ]
+    if not all(rows):
+        return None
     bad = math.inf if not maximize else -math.inf
     spread = capacity + 1
     f_next = np.zeros(spread)
     choices: list[np.ndarray] = []
-    for job_g, job_z in zip(reversed(g_values), reversed(z_weights)):
-        table = np.full((len(job_g), spread), bad)
-        for alt, (g, z) in enumerate(zip(job_g, job_z)):
-            if z > capacity:
-                continue
-            row = table[alt]
-            row[z:] = g + f_next[: spread - z]
+    for job_g, job_z, kept in zip(reversed(g_values), reversed(z_weights), reversed(rows)):
+        table = np.full((len(kept), spread), bad)
+        for row, alt in zip(table, kept):
+            z = job_z[alt]
+            row[z:] = job_g[alt] + f_next[: spread - z]
         if maximize:
             choice = np.argmax(table, axis=0)
             f_next = np.max(table, axis=0)
@@ -350,10 +394,10 @@ def _backward_run(
     # Forward reconstruction: Z_1 = Z*, Z_{i+1} = Z_i − z_i(s̄_i).
     selection: list[int] = []
     remaining = capacity
-    for job_index, choice in enumerate(choices):
-        alt = int(choice[remaining])
+    for job_z, kept, choice in zip(z_weights, rows, choices):
+        alt = kept[int(choice[remaining])]
         selection.append(alt)
-        remaining -= z_weights[job_index][alt]
+        remaining -= job_z[alt]
     return selection, float(f_next[capacity])
 
 
@@ -568,7 +612,9 @@ def optimize(
             z_weights.append(weights_flat[cursor : cursor + len(windows)])
             cursor += len(windows)
         if telemetry.enabled:
-            _count_dp_run(telemetry, len(weights_flat), capacity, objective.value)
+            _count_dp_run(
+                telemetry, g_values, z_weights, capacity, objective.value, maximize=False
+            )
             if fitted != resolution and telemetry.decisions.enabled:
                 telemetry.decisions.emit(
                     "dp.resolution_stepdown",
@@ -657,22 +703,40 @@ def _combination_of(
 
 
 def _count_dp_run(
-    telemetry: Telemetry, total_alternatives: int, capacity: int, label: str
+    telemetry: Telemetry,
+    g_values: list[list[float]],
+    z_weights: list[list[int]],
+    capacity: int,
+    label: str,
+    *,
+    maximize: bool,
 ) -> None:
     """Record the size of one backward run before it executes.
 
-    ``dp.table_cells`` is the exact number of ``f_i`` table entries the
-    run fills: one row per alternative, ``capacity + 1`` constraint bins
-    per row (matching the arrays allocated in ``_backward_run``).
+    ``dp.table_cells`` is the number of ``f_i`` table entries
+    :func:`_backward_run` fills: one row per alternative that survives
+    :func:`_undominated`, ``capacity + 1`` constraint bins per row, and
+    none at all when some job keeps no row (the run returns before the
+    fill).  ``dp.rows_dominated`` counts the alternatives dropped before
+    the fill — weakly dominated by an earlier row of their job, or
+    heavier than the whole capacity.  The pruning pass is repeated here,
+    not reported by the run, so the counts are the same whether or not
+    a :class:`DPMemo` answers the run.
     """
     if not telemetry.enabled:
         return
+    rows = [
+        _undominated(job_g, job_z, capacity, maximize=maximize)
+        for job_g, job_z in zip(g_values, z_weights)
+    ]
+    total = sum(len(job_z) for job_z in z_weights)
+    kept = sum(len(job_rows) for job_rows in rows)
+    filled = kept * (capacity + 1) if all(rows) else 0
     telemetry.count("dp.runs", 1, objective=label)
-    telemetry.count(
-        "dp.table_cells", total_alternatives * (capacity + 1), objective=label
-    )
+    telemetry.count("dp.table_cells", filled, objective=label)
+    telemetry.count("dp.rows_dominated", total - kept, objective=label)
     telemetry.observe("dp.capacity", capacity, objective=label)
-    telemetry.observe("dp.alternatives", total_alternatives, objective=label)
+    telemetry.observe("dp.alternatives", total, objective=label)
 
 
 def vo_budget(
@@ -764,7 +828,9 @@ def vo_budget(
             z_weights.append(weights_flat[cursor : cursor + len(windows)])
             cursor += len(windows)
         if telemetry.enabled:
-            _count_dp_run(telemetry, len(weights_flat), capacity, "budget")
+            _count_dp_run(
+                telemetry, g_values, z_weights, capacity, "budget", maximize=True
+            )
             if fitted != resolution and telemetry.decisions.enabled:
                 telemetry.decisions.emit(
                     "dp.resolution_stepdown",
