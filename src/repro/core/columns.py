@@ -119,9 +119,10 @@ class ColumnStore:
     """Parallel primitive columns of a sorted slot-row table.
 
     Rows are kept sorted by ``(start, end, uid)`` — the scan order of
-    every finder.  The store holds no ``Slot`` objects; callers that
-    need them (:class:`~repro.core.index.SlotIndex`) keep a parallel
-    list aligned with the row positions this class reports.
+    every finder.  The store holds no ``Slot`` objects, and neither do
+    its owners: :class:`~repro.core.index.SlotIndex` and the shard
+    states keep a ``uid → Resource`` map and rebuild value-equal slots
+    from rows where one is read.
     """
 
     __slots__ = ("starts", "ends", "uids", "perfs", "prices", "_uid_counts")
@@ -207,9 +208,9 @@ class ColumnStore:
 
         The caller guarantees the new row keeps the sort invariant at
         this position and shares the old row's uid (so the uid counts
-        are unchanged) — the carve-in-place fast path of
-        :meth:`~repro.core.index.SlotIndex.commit`, which shrinks a
-        slot's end while keeping its start, satisfies both.
+        are unchanged) — the carve-in-place rule of the slot index's
+        journal replay, which shrinks a committed slot's end while
+        keeping its start, satisfies both.
         """
         self.starts[position] = row[0]
         self.ends[position] = row[1]
@@ -282,11 +283,10 @@ class ColumnStore:
 
         Returns ``(entries, positions)`` where ``entries`` are
         :data:`SurvivorRow` tuples in scan order and ``positions`` the
-        corresponding row indices (so a caller keeping a parallel
-        ``Slot`` list can attach the objects).  With numpy present the
-        mask is evaluated vectorized over zero-copy buffer views of the
-        columns; the result is bit-identical to mapping
-        :func:`static_survivor` over every row.
+        corresponding row indices.  With numpy present the mask is
+        evaluated vectorized over zero-copy buffer views of the columns;
+        the result is bit-identical to mapping :func:`static_survivor`
+        over every row.
 
         ``min_end`` additionally drops rows with ``end <= min_end`` —
         an exact comparison, so the result equals the unfiltered

@@ -4,16 +4,30 @@
 primitive *columns* (start, end, resource uid, performance, price in
 ``array('d')``/``array('q')`` storage — :class:`~repro.core.columns.ColumnStore`),
 so the ALP/AMP forward scans run over local floats instead of chasing
-``Slot → Resource`` attribute chains, and window subtraction locates the
-carved slot by bisection instead of a linear rescan.  The index holds no
-``Slot`` objects at all: like the sharded executor, it keeps the only
-``uid → Resource`` map and reconstructs value-equal ``Slot`` objects
-exactly where one leaves the index — a found window's source slots,
-:meth:`subtract`'s return value, :meth:`slot_list` — so the hot scan and
-mutation paths touch nothing but primitive tuples.  The index is built
+``Slot → Resource`` attribute chains.  The index holds no ``Slot``
+objects at all: like the sharded executor, it keeps the only
+``uid → Resource`` map and builds objects only where something reads
+them.  A window the finders accept keeps its placements as primitive
+tuples plus its own ``Resource`` objects
+(:meth:`~repro.core.window.Window.from_placements`), and builds its
+allocations and their source ``Slot`` objects on the first read of
+``window.allocations``; :meth:`subtract`'s return value and
+:meth:`slot_list` are rebuilt from rows.  A finished search hands on
+only its :class:`LiveRows` (:meth:`live_rows`), so a retained result
+does not keep the columns, memos or journal alive.  The index is built
 once per alternative search and maintained *incrementally* across the
-whole multi-pass scheme: every committed window only touches the
-``O(log m)`` neighbourhood of its source rows.
+whole multi-pass scheme.
+
+Mutations are recorded, not applied.  :meth:`commit` checks each
+placement's source against a live-row map ``(start, end, uid) → row``,
+updates that map and appends one op to a mutation journal; it never
+touches the columns.  The columns are brought current on read: a memo
+rebuild, the start-hint prune counts, :meth:`insert`'s overlap check
+and :meth:`subtract` first replay the pending journal tail (each op
+locates its row by bisection).  When the journal is trimmed past ops
+the columns have not applied, the columns are dropped and rebuilt,
+sorted, from the live map on the next read.
+``len()``, :meth:`slot_list` and iteration read the live map.
 
 On top of the column layout the index memoizes the request-*static*
 part of the scan predicates: for each ``(volume, min_performance,
@@ -71,10 +85,10 @@ from repro.core.columns import ColumnStore, Row, SurvivorRow, expiry_bound
 from repro.core.errors import SlotListError
 from repro.core.job import ResourceRequest
 from repro.core.resource import Resource
-from repro.core.slot import Slot, SlotList
-from repro.core.window import Window, carved_allocation
+from repro.core.slot import Slot, SlotList, carved_slot
+from repro.core.window import Window
 
-__all__ = ["SlotIndex"]
+__all__ = ["LiveRows", "SlotIndex"]
 
 NEG_INF = float("-inf")
 INF = float("inf")
@@ -86,25 +100,6 @@ INF = float("inf")
 # vectorized rebuild is a single C-level ``zip`` over the column
 # buffers and the scans append the memo tuples themselves as
 # candidates instead of building per-row wrappers.
-
-_new = object.__new__
-_set_field = object.__setattr__
-
-
-def _carve_slot(resource: Resource, start: float, end: float, price: float) -> Slot:
-    """A :class:`Slot` without the dataclass ``__init__``.
-
-    Every slot the index materialises is backed by a row that already
-    holds the model invariants (non-empty span, validated price), so
-    the hot paths skip the frozen-dataclass machinery and its
-    re-validation.
-    """
-    slot = _new(Slot)
-    _set_field(slot, "resource", resource)
-    _set_field(slot, "start", start)
-    _set_field(slot, "end", end)
-    _set_field(slot, "price", price)
-    return slot
 
 #: Entries a scan must have skipped as hint-dead before a find bothers
 #: rewriting its memo; below this the list-copy costs more than the
@@ -159,10 +154,43 @@ class _Memo:
         self.synced = synced
 
 
+class LiveRows:
+    """The live rows of a :class:`SlotIndex`, without its columns, memos or journal.
+
+    Shares the index's live-row map and ``uid → Resource`` map, so the
+    index must not be mutated once this is taken; :meth:`slot_list`
+    builds the vacant-slot list from them on each call.
+    """
+
+    __slots__ = ("_live", "_resources")
+
+    def __init__(
+        self, live: dict[tuple[float, float, int], Row], resources: dict[int, Resource]
+    ) -> None:
+        self._live = live
+        self._resources = resources
+
+    def slot_list(self) -> SlotList:
+        """The rows as a plain :class:`SlotList` of value-equal slots."""
+        resources = self._resources
+        return SlotList(
+            carved_slot(resources[uid], start, end, price)
+            for start, end, uid, _performance, price in self._live.values()
+        )
+
+
 class SlotIndex:
     """Sorted, incrementally-updated view of a vacant-slot list."""
 
-    __slots__ = ("_columns", "_resources", "_memos", "_ops", "_hint_floor")
+    __slots__ = (
+        "_store",
+        "_applied",
+        "_live",
+        "_resources",
+        "_memos",
+        "_ops",
+        "_hint_floor",
+    )
 
     def __init__(self, slots: Iterable[Slot] = ()) -> None:
         materialized = list(slots)
@@ -171,10 +199,18 @@ class SlotIndex:
         self._resources: dict[int, Resource] = {
             slot.resource.uid: slot.resource for slot in materialized
         }
-        self._columns = ColumnStore(
+        rows: list[Row] = [
             (slot.start, slot.end, slot.resource.uid, slot.resource.performance, slot.price)
             for slot in materialized
-        )
+        ]
+        # The live rows by (start, end, uid) key: the index's state of
+        # record.  Mutations update it at once; the columns lag behind
+        # it by the journal ops after ``_applied`` (see _columns()).
+        self._live: dict[tuple[float, float, int], Row] = {
+            (row[0], row[1], row[2]): row for row in rows
+        }
+        self._store: ColumnStore | None = ColumnStore(rows)
+        self._applied = 0
         # (volume, min_performance, max_price) → rows surviving the
         # static predicates, in scan order.  Built vectorized on first
         # use, then kept current lazily: each commit/insert/subtract
@@ -194,36 +230,65 @@ class SlotIndex:
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._columns)
+        return len(self._live)
 
     def __iter__(self) -> Iterator[Slot]:
-        return iter(self._materialize())
+        return iter(self.slot_list())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SlotIndex({len(self._columns)} slots)"
+        return f"SlotIndex({len(self._live)} slots)"
+
+    def _columns(self) -> ColumnStore:
+        """The column store, brought current with the mutation journal.
+
+        Replays the ops after ``_applied`` in journal order with the
+        commit-time carve rule: a left remainder keeps its source's
+        start and only shrinks its end, so outside an equal-start run
+        (where bisection would be needed) it overwrites the source row
+        in place instead of paying two ``O(m)`` memmoves per column plus
+        a bisect.  Columns dropped by a journal trim are rebuilt, sorted,
+        from the live map.
+        """
+        store = self._store
+        ops = self._ops
+        if store is None:
+            store = self._store = ColumnStore(self._live.values())
+        else:
+            for key, _performance, _price, replacements in ops[self._applied:]:
+                rest = replacements
+                if key is not None:
+                    position = store.bisect_key(key)
+                    start = key[0]
+                    if (
+                        replacements
+                        and replacements[0][0] == start
+                        and (position == 0 or store.starts[position - 1] < start)
+                    ):
+                        store.replace_row_at(position, replacements[0])
+                        rest = replacements[1:]
+                    else:
+                        store.delete_at(position)
+                for row in rest:
+                    store.insert_row(row)
+        self._applied = len(ops)
+        return store
 
     def _slot_of(self, entry: "SurvivorRow | Row") -> Slot:
         """Value-equal :class:`Slot` for one row/survivor tuple."""
-        return _carve_slot(self._resources[entry[2]], entry[0], entry[1], entry[4])
-
-    def _materialize(self) -> list[Slot]:
-        resources = self._resources
-        columns = self._columns
-        return [
-            _carve_slot(resources[uid], start, end, price)
-            for start, end, uid, price in zip(
-                columns.starts, columns.ends, columns.uids, columns.prices
-            )
-        ]
+        return carved_slot(self._resources[entry[2]], entry[0], entry[1], entry[4])
 
     def slot_list(self) -> SlotList:
         """Materialise the current state as a plain :class:`SlotList`.
 
         The returned slots are value-equal reconstructions from the
-        rows (the index keeps no ``Slot`` objects), exactly like the
-        sharded executor's :meth:`~ShardedSearchExecutor.slot_list`.
+        live rows (the index keeps no ``Slot`` objects), exactly like
+        the sharded executor's :meth:`~ShardedSearchExecutor.slot_list`.
         """
-        return SlotList(self._materialize())
+        return self.live_rows().slot_list()
+
+    def live_rows(self) -> LiveRows:
+        """The current live rows, detached from the columns, memos and journal."""
+        return LiveRows(self._live, self._resources)
 
     def hint_skippable(self, start_hint: float) -> int:
         """Rows the finders' ``start_hint`` fast path skips outright.
@@ -240,7 +305,7 @@ class SlotIndex:
             start_hint = self._hint_floor
         if start_hint == NEG_INF:
             return 0
-        return self._columns.count_end_at_or_before(start_hint)
+        return self._columns().count_end_at_or_before(start_hint)
 
     def hint_prunes(
         self,
@@ -271,7 +336,7 @@ class SlotIndex:
             start_hint = self._hint_floor
         if start_hint == NEG_INF:
             return (0, 0)
-        tier1 = self._columns.count_end_at_or_before(start_hint)
+        tier1 = self._columns().count_end_at_or_before(start_hint)
         max_price = request.max_price if check_price else None
         memo = self._survivors(
             request.volume, request.min_performance, max_price, start_hint
@@ -319,7 +384,7 @@ class SlotIndex:
             # dropped vectorized and ``hint`` becomes the floor — the
             # same state compaction would eventually reach, minus the
             # churn of re-attaching and re-skipping them.
-            entries, _positions = self._columns.survivors(
+            entries, _positions = self._columns().survivors(
                 volume, min_performance, max_price, hint
             )
             if memo is None:
@@ -404,9 +469,12 @@ class SlotIndex:
         Trimming evicts memos that have fallen behind by more than
         :data:`_REPLAY_MAX` ops — they would rebuild on next access
         anyway — after which every surviving memo's cursor is past the
-        journal prefix, which can then be dropped.  Keeps a long-lived
-        index (grid-layer subtract/insert traffic with no searches) at
-        bounded memory.
+        journal prefix, which can then be dropped.  A trim never drops an
+        op the columns have not applied: columns that lag behind the
+        dropped prefix are dropped too, and rebuilt from the live map on
+        next read.  Keeps a long-lived index (grid-layer subtract/insert
+        traffic with no searches, or commits with no reads) at bounded
+        memory.
         """
         ops = self._ops
         ops.append(op)
@@ -420,6 +488,11 @@ class SlotIndex:
                 del ops[:base]
                 for memo in memos.values():
                     memo.synced -= base
+                if self._applied < base:
+                    self._store = None
+                    self._applied = 0
+                else:
+                    self._applied -= base
 
     # ------------------------------------------------------------------ #
     # Window search                                                      #
@@ -487,14 +560,16 @@ class SlotIndex:
             if entry[6] < min_bound:
                 min_bound = entry[6]
             if len(candidates) == node_count:
-                allocations = [
-                    carved_allocation(
-                        self._slot_of(c), window_start, window_start + c[5]
-                    )
-                    for c in candidates
-                ]
+                resources = self._resources
                 self._compact(memo, start_hint, dead, scanned)
-                return Window.from_scan(request, allocations)
+                return Window.from_placements(
+                    request,
+                    [
+                        (c[2], c[3], c[0], c[1], c[4], window_start,
+                         window_start + c[5], resources[c[2]])
+                        for c in candidates
+                    ],
+                )
         self._compact(memo, start_hint, dead, len(survivors))
         return None
 
@@ -597,12 +672,17 @@ class SlotIndex:
             if cheapest_total <= budget:
                 chosen = ranked[:node_count]
                 sync = max(item[3][0] for item in chosen)
-                allocations = [
-                    carved_allocation(self._slot_of(item[3]), sync, sync + item[2])
-                    for item in chosen
-                ]
+                resources = self._resources
                 self._compact(memo, start_hint, dead, scanned)
-                return Window.from_scan(request, allocations), start
+                window = Window.from_placements(
+                    request,
+                    [
+                        (c[2], c[3], c[0], c[1], c[4], sync, sync + runtime,
+                         resources[c[2]])
+                        for _cost, _uid, runtime, c in chosen
+                    ],
+                )
+                return window, start
         self._compact(memo, start_hint, dead, len(survivors))
         return None
 
@@ -613,71 +693,57 @@ class SlotIndex:
     def commit(self, window: Window) -> None:
         """Subtract the window's occupied spans (paper Fig. 1 (b)).
 
-        Each allocation remembers the vacant slot it was carved from, so
-        the containing row is located by bisection rather than the
-        linear rescan of :meth:`SlotList.subtract`.  The source slot is
-        matched by value — ``(start, end, uid)`` key plus price — the
-        same contract as the sharded :meth:`_ShardState.commit`.
+        Reads the window's primitive placements
+        (:meth:`~repro.core.window.Window.placements`, which serves built
+        and unbuilt windows alike), so committing never builds a
+        ``Slot``.  Each source slot is matched by value — ``(start,
+        end, uid)`` key in the live-row map plus price — the same
+        contract as the sharded :meth:`_ShardState.commit`.  The map and
+        the journal are updated at once; the columns catch up on read.
 
         Raises:
             SlotListError: If some source slot is no longer in the index.
         """
-        columns = self._columns
-        for allocation in window.allocations:
-            source = allocation.source
-            resource = source.resource
-            uid = resource.uid
-            key = (source.start, source.end, uid)
-            position = columns.bisect_key(key)
-            if (
-                position == len(columns)
-                or columns.key_at(position) != key
-                or columns.prices[position] != source.price
-            ):
+        live = self._live
+        for uid, performance, source_start, source_end, price, start, end, resource in (
+            window.placements()
+        ):
+            key = (source_start, source_end, uid)
+            row = live.get(key)
+            if row is None or row[4] != price:
                 raise SlotListError(
                     f"no vacant slot on {resource.name!r} contains span "
-                    f"[{allocation.start:g}, {allocation.end:g})"
+                    f"[{start:g}, {end:g})"
                 )
-            replacements: list[Row] = []
-            left = allocation.start > source.start
-            if left and (position == 0 or columns.starts[position - 1] < source.start):
-                # The left remainder keeps the source's start and shrinks
-                # its end, so (outside an equal-start run, where bisection
-                # would be needed) it sorts at the very position the
-                # source occupied: overwrite in place instead of paying
-                # two O(m) memmoves per column plus a bisect.
-                row: Row = (
-                    source.start,
-                    allocation.start,
-                    uid,
-                    resource.performance,
-                    source.price,
-                )
-                columns.replace_row_at(position, row)
-                replacements.append(row)
-            else:
-                columns.delete_at(position)
-                if left:
-                    row = (
-                        source.start,
-                        allocation.start,
-                        uid,
-                        resource.performance,
-                        source.price,
-                    )
-                    columns.insert_row(row)
-                    replacements.append(row)
-            if source.end > allocation.end:
-                row = (
-                    allocation.end,
-                    source.end,
-                    uid,
-                    resource.performance,
-                    source.price,
-                )
-                columns.insert_row(row)
-                replacements.append(row)
-            self._journal((key, resource.performance, source.price, replacements))
+            self._carve(key, performance, price, start, end)
+
+    def _carve(
+        self,
+        key: tuple[float, float, int],
+        performance: float,
+        price: float,
+        start: float,
+        end: float,
+    ) -> None:
+        """Cut ``[start, end)`` out of the live row at ``key`` and journal it.
+
+        The row is replaced by its non-empty left and right remainders
+        (paper Fig. 1 (b)) in the live map; the columns see the change
+        when they next replay the journal.
+        """
+        live = self._live
+        del live[key]
+        source_start, source_end, uid = key
+        replacements: list[Row] = []
+        if start > source_start:
+            row: Row = (source_start, start, uid, performance, price)
+            live[(source_start, start, uid)] = row
+            replacements.append(row)
+        if source_end > end:
+            row = (end, source_end, uid, performance, price)
+            live[(end, source_end, uid)] = row
+            replacements.append(row)
+        self._journal((key, performance, price, replacements))
 
     def insert(self, slot: Slot) -> None:
         """Re-insert vacant time (outage repair, hot-swap revocation).
@@ -687,8 +753,8 @@ class SlotIndex:
         earliest re-inserted start: a window may now exist at any event
         from ``slot.start`` on, however stale the caller's hint is.
 
-        The same-resource overlap check locates the insertion
-        neighbourhood by bisection
+        The same-resource overlap check brings the columns current and
+        locates the insertion neighbourhood by bisection
         (:meth:`ColumnStore.find_same_uid_overlap`) instead of scanning
         the whole row prefix.
 
@@ -699,7 +765,7 @@ class SlotIndex:
         """
         resource = slot.resource
         uid = resource.uid
-        overlap = self._columns.find_same_uid_overlap(slot.start, slot.end, uid)
+        overlap = self._columns().find_same_uid_overlap(slot.start, slot.end, uid)
         if overlap is not None:
             raise SlotListError(
                 f"slot [{slot.start:g}, {slot.end:g}) on "
@@ -709,7 +775,7 @@ class SlotIndex:
         # A hot-swap replacement node may be first seen here.
         self._resources.setdefault(uid, resource)
         row: Row = (slot.start, slot.end, uid, resource.performance, slot.price)
-        self._columns.insert_row(row)
+        self._live[(slot.start, slot.end, uid)] = row
         self._journal((None, 0.0, 0.0, [row]))
         if slot.start < self._hint_floor:
             self._hint_floor = slot.start
@@ -732,35 +798,18 @@ class SlotIndex:
             raise SlotListError(
                 f"cannot subtract empty or negative span [{start!r}, {end!r})"
             )
-        columns = self._columns
+        columns = self._columns()
         uid = resource.uid
         starts, ends, uids = columns.starts, columns.ends, columns.uids
         for position in range(len(starts)):
             if starts[position] > start:
                 break
             if uids[position] == uid and ends[position] >= end:
-                candidate = self._slot_of(columns.row_at(position))
-                key = (candidate.start, candidate.end, uid)
-                columns.delete_at(position)
-                replacements: list[Row] = []
-                if start > candidate.start:
-                    row: Row = (
-                        candidate.start,
-                        start,
-                        uid,
-                        resource.performance,
-                        candidate.price,
-                    )
-                    columns.insert_row(row)
-                    replacements.append(row)
-                if candidate.end > end:
-                    row = (end, candidate.end, uid, resource.performance, candidate.price)
-                    columns.insert_row(row)
-                    replacements.append(row)
-                self._journal(
-                    (key, resource.performance, candidate.price, replacements)
+                row = columns.row_at(position)
+                self._carve(
+                    (row[0], row[1], uid), resource.performance, row[4], start, end
                 )
-                return candidate
+                return self._slot_of(row)
         raise SlotListError(
             f"no vacant slot on {resource.name!r} contains span [{start:g}, {end:g})"
         )

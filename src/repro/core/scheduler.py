@@ -171,7 +171,8 @@ class BatchScheduler:
 
         The input slot list is not modified; committed assignments live in
         the outcome's combination, and the slots left over after *all*
-        alternatives were carved out are in ``outcome.search.remaining_slots``.
+        alternatives were carved out are in ``outcome.search.remaining_slots``
+        (built from the search's slot index on first read).
 
         Raises:
             InfeasibleConstraintError: Only under

@@ -23,13 +23,12 @@ relies on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Mapping
 
 from repro.core import alp, amp
 from repro.core.errors import InvalidRequestError
-from repro.core.index import NEG_INF, SlotIndex
+from repro.core.index import NEG_INF, LiveRows, SlotIndex
 from repro.core.job import Batch, Job, ResourceRequest
 from repro.core.shard_search import ShardedSearchExecutor
 from repro.core.slot import SlotList
@@ -85,7 +84,6 @@ class SlotSearchAlgorithm(enum.Enum):
         )
 
 
-@dataclass
 class SearchResult:
     """Outcome of one alternative-search phase for a whole batch.
 
@@ -93,13 +91,49 @@ class SearchResult:
         alternatives: For every job of the batch, its alternative windows
             in discovery order (possibly empty).
         remaining_slots: The vacant-slot list after all subtractions.
+            The indexed search hands over the live rows of its final
+            :class:`~repro.core.index.SlotIndex`
+            (:class:`~repro.core.index.LiveRows`, not the index's
+            columns, memos or journal), and the list is built from them
+            on first read — most callers never read it.
         passes: Number of complete passes over the batch, including the
             final empty pass that stopped the search.
     """
 
-    alternatives: dict[Job, list[Window]]
-    remaining_slots: SlotList
-    passes: int
+    __slots__ = ("alternatives", "passes", "_remaining")
+
+    def __init__(
+        self,
+        alternatives: dict[Job, list[Window]],
+        remaining_slots: SlotList | LiveRows,
+        passes: int,
+    ) -> None:
+        self.alternatives = alternatives
+        self.passes = passes
+        self._remaining = remaining_slots
+
+    @property
+    def remaining_slots(self) -> SlotList:
+        """The vacant-slot list after all subtractions (built on read)."""
+        remaining = self._remaining
+        if isinstance(remaining, LiveRows):
+            remaining = self._remaining = remaining.slot_list()
+        return remaining
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchResult):
+            return NotImplemented
+        return (
+            self.alternatives == other.alternatives
+            and self.passes == other.passes
+            and self.remaining_slots == other.remaining_slots
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"SearchResult({self.total_alternatives} alternatives, "
+            f"passes={self.passes})"
+        )
 
     @property
     def total_alternatives(self) -> int:
@@ -472,7 +506,7 @@ def _find_alternatives_indexed(
         if not found_any:
             break
     return SearchResult(
-        alternatives=alternatives, remaining_slots=index.slot_list(), passes=passes
+        alternatives=alternatives, remaining_slots=index.live_rows(), passes=passes
     )
 
 
@@ -590,7 +624,7 @@ def _find_alternatives_indexed_instrumented(
             if not found_any:
                 break
         result = SearchResult(
-            alternatives=alternatives, remaining_slots=index.slot_list(), passes=passes
+            alternatives=alternatives, remaining_slots=index.live_rows(), passes=passes
         )
         _flush_batch_metrics(telemetry, result, algorithm.value)
         telemetry.count("search.hint_skips", hint_skips, algo=algorithm.value)

@@ -71,7 +71,7 @@ from repro.core.job import ResourceRequest
 from repro.core.partition import partition_uids, shard_owners
 from repro.core.resource import Resource
 from repro.core.slot import Slot, SlotList
-from repro.core.window import Window, carved_allocation
+from repro.core.window import Placement, Window
 from repro.obs.telemetry import get_telemetry
 
 if TYPE_CHECKING:
@@ -642,6 +642,20 @@ class ShardedSearchExecutor:
     def _slot_of(self, entry: Sequence[float]) -> Slot:
         return Slot(self._resources[int(entry[2])], entry[0], entry[1], entry[4])
 
+    def _placement(self, entry: Sequence[float], sync: float, runtime: float) -> Placement:
+        """The :data:`~repro.core.window.Placement` of one survivor at ``sync``."""
+        uid = int(entry[2])
+        return (
+            uid,
+            entry[3],
+            entry[0],
+            entry[1],
+            entry[4],
+            sync,
+            sync + runtime,
+            self._resources[uid],
+        )
+
     # ------------------------------------------------------------------ #
     # SlotIndex-equivalent surface                                       #
     # ------------------------------------------------------------------ #
@@ -696,13 +710,10 @@ class ShardedSearchExecutor:
             if entry[6] < min_bound:
                 min_bound = entry[6]
             if len(candidates) == node_count:
-                allocations = [
-                    carved_allocation(
-                        self._slot_of(c), window_start, window_start + c[5]
-                    )
-                    for c in candidates
-                ]
-                return Window.from_scan(request, allocations)
+                return Window.from_placements(
+                    request,
+                    [self._placement(c, window_start, c[5]) for c in candidates],
+                )
         return None
 
     def find_amp_window_at(
@@ -771,11 +782,11 @@ class ShardedSearchExecutor:
             if cheapest_total <= budget:
                 chosen = ranked[:node_count]
                 sync = max(item[3][0] for item in chosen)
-                allocations = [
-                    carved_allocation(self._slot_of(item[3]), sync, sync + item[2])
-                    for item in chosen
-                ]
-                return Window.from_scan(request, allocations), start
+                window = Window.from_placements(
+                    request,
+                    [self._placement(item[3], sync, item[2]) for item in chosen],
+                )
+                return window, start
         return None
 
     def commit(self, window: Window) -> None:

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from repro.core.errors import SlotListError
 from repro.core.resource import Resource
 
-__all__ = ["Slot", "SlotList"]
+__all__ = ["Slot", "SlotList", "carved_slot"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,6 +104,23 @@ class Slot:
             f"Slot({self.resource.name}, [{self.start:g}, {self.end:g}), "
             f"price={self.price:g})"
         )
+
+
+def carved_slot(resource: Resource, start: float, end: float, price: float) -> Slot:
+    """A :class:`Slot` without the dataclass ``__init__``.
+
+    Trusted fast path for slots rebuilt from primitive rows that already
+    hold the model invariants (non-empty span, validated price) — the
+    slot index's materialised lists and the source slots of windows
+    built from placements — so they skip the frozen-dataclass machinery
+    and its re-validation.
+    """
+    slot = object.__new__(Slot)
+    object.__setattr__(slot, "resource", resource)
+    object.__setattr__(slot, "start", start)
+    object.__setattr__(slot, "end", end)
+    object.__setattr__(slot, "price", price)
+    return slot
 
 
 def _sort_key(slot: Slot) -> tuple[float, float, int]:
