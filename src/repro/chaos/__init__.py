@@ -1,8 +1,8 @@
 """Deterministic chaos engine: seeded fault injection for the scheduler.
 
-The durability layer (journal + snapshots) and both parallel execution
-layers (the experiment process pool, the sharded search workers) promise
-to survive crashes, torn writes, full disks, and killed processes.  This
+The durability layer (journal + snapshots) and the parallel experiment
+engine (its process pool) promise to survive crashes, torn writes, full
+disks, and killed processes.  This
 package makes those promises *testable* instead of aspirational:
 
 * :mod:`repro.chaos.faults` — the :class:`FaultPlan`/:class:`FaultPoint`
@@ -15,12 +15,11 @@ package makes those promises *testable* instead of aspirational:
   rename failure, CRC bit-flips, and simulated crashes.
 * :mod:`repro.chaos.proc` — worker-kill injection and the bounded
   exponential-backoff :class:`WorkerSupervisor` used by
-  :class:`~repro.sim.experiment.ParallelRunner` and the
-  :class:`~repro.core.shard_search.ShardedSearchExecutor` process mode.
+  :class:`~repro.sim.experiment.ParallelRunner`.
 * :mod:`repro.chaos.harness` — the crash-point sweep: crash a reference
   :class:`~repro.grid.checkpoint.DurableMetascheduler` run at *every*
   journal sequence point, restore, and assert byte-identity against the
-  uninterrupted oracle; plus killed-pool-worker and killed-shard-worker
+  uninterrupted oracle; plus the storage-fault and killed-pool-worker
   campaigns.  Exposed on the CLI as ``repro-scheduler chaos``.
 """
 
@@ -39,7 +38,7 @@ from repro.chaos.harness import (
     sweep_crash_points,
     sweep_experiment_resume,
 )
-from repro.chaos.proc import CrashOnceSpanTask, WorkerSupervisor, kill_shard_worker
+from repro.chaos.proc import CrashOnceSpanTask, WorkerSupervisor
 
 __all__ = [
     "CampaignResult",
@@ -52,7 +51,6 @@ __all__ = [
     "SimulatedCrash",
     "WorkerSupervisor",
     "derive_fault_seed",
-    "kill_shard_worker",
     "run_campaigns",
     "sweep_crash_points",
     "sweep_experiment_resume",

@@ -4,7 +4,7 @@ A chaos campaign is a *plan*: a small set of :class:`FaultPoint` entries,
 each naming an operation (``write`` / ``fsync`` / ``replace`` /
 ``worker``), a fault kind, a target filter, and the 1-based occurrence at
 which to fire — "tear journal append #17", "fail the snapshot rename",
-"kill the worker process for shard 2".  The instrumented seams (the
+"kill the pool worker that owns iteration 5".  The instrumented seams (the
 chaos filesystem in :mod:`repro.chaos.fs`, the worker-kill helpers in
 :mod:`repro.chaos.proc`) report every operation to the plan, which
 decides deterministically whether that call is the one that faults.

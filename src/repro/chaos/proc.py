@@ -1,13 +1,9 @@
 """Worker-kill injection and the supervised-restart ladder.
 
-Two parallel layers run real OS processes: the experiment engine's
-:class:`~repro.sim.experiment.ParallelRunner` (a
-``concurrent.futures`` process pool) and the
-:class:`~repro.core.shard_search.ShardedSearchExecutor` process mode
-(one pipe-connected ``multiprocessing.Process`` per shard).  This module
-provides both the *supervision* those layers use to survive a dead
-worker and the *injection* the chaos harness uses to kill one on
-purpose:
+The experiment engine's :class:`~repro.sim.experiment.ParallelRunner`
+runs real OS processes (a ``concurrent.futures`` process pool).  This
+module provides both the *supervision* it uses to survive a dead worker
+and the *injection* the chaos harness uses to kill one on purpose:
 
 * :class:`WorkerSupervisor` — the restart budget and bounded
   exponential-backoff ladder (the same shape as
@@ -21,8 +17,6 @@ purpose:
   engine's span task that ``SIGKILL``s its own worker process exactly
   once (a sentinel file makes the second attempt succeed), driving the
   pool's broken-pool recovery path with a *real* killed process.
-* :func:`kill_shard_worker` — ``SIGKILL`` one shard's worker process so
-  the executor's next operation exercises respawn-and-replay.
 """
 
 from __future__ import annotations
@@ -32,20 +26,16 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.core.errors import InvalidRequestError, InvariantViolationError
-from repro.obs.telemetry import get_telemetry
+from repro.core.errors import InvalidRequestError
 
 if TYPE_CHECKING:
-    from repro.core.shard_search import ShardedSearchExecutor
     from repro.sim.experiment import ExperimentConfig, ExperimentResult
 
 __all__ = [
-    "DEFAULT_SUPERVISOR",
     "CrashOnceSpanTask",
     "WorkerSupervisor",
-    "kill_shard_worker",
 ]
 
 
@@ -106,10 +96,6 @@ class WorkerSupervisor:
             time.sleep(delay)
 
 
-#: Supervisor used when a parallel layer is constructed without one.
-DEFAULT_SUPERVISOR = WorkerSupervisor()
-
-
 @dataclass(frozen=True)
 class CrashOnceSpanTask:
     """Span task that ``SIGKILL``s its own pool worker exactly once.
@@ -144,38 +130,3 @@ class CrashOnceSpanTask:
             os.kill(os.getpid(), signal.SIGKILL)
         return _run_span(config, start, stop)
 
-
-def kill_shard_worker(executor: "ShardedSearchExecutor", shard: int) -> int:
-    """``SIGKILL`` the worker process behind ``shard``; returns its pid.
-
-    Only meaningful for a process-mode
-    :class:`~repro.core.shard_search.ShardedSearchExecutor`; the
-    executor's next operation on the shard observes the dead pipe and
-    runs its supervised respawn-and-replay path.
-
-    Raises:
-        InvalidRequestError: When the executor runs in-process or the
-            shard index is out of range.
-        InvariantViolationError: When the worker has no pid (never
-            started).
-    """
-    workers: list[Any] = getattr(executor, "_workers", [])
-    if not workers:
-        raise InvalidRequestError(
-            "kill_shard_worker needs a process-mode ShardedSearchExecutor "
-            "(constructed with processes=True)"
-        )
-    if not 0 <= shard < len(workers):
-        raise InvalidRequestError(
-            f"shard {shard} out of range for {len(workers)} workers"
-        )
-    worker = workers[shard]
-    pid = worker.pid
-    if pid is None:
-        raise InvariantViolationError(f"shard {shard} worker was never started")
-    worker.kill()
-    worker.join()
-    telemetry = get_telemetry()
-    if telemetry.enabled:
-        telemetry.count("chaos.workers_killed", 1, layer="shard")
-    return int(pid)

@@ -23,14 +23,9 @@ comparisons are exact predicates, so both the survivor *set* and each
 survivor's ``runtime`` are bit-for-bit the same whether the mask or the
 scalar kernel produced them (``tests/test_columns.py`` checks the two
 against each other; the differential oracles in
-``tests/test_reference_oracles.py`` pin the full search).  When numpy is
-unavailable the scalar kernel *is* the implementation, not just the
-spec.
-
-The kernels here are shared by the serial
-:class:`~repro.core.index.SlotIndex` and the per-shard states of
-:class:`~repro.core.shard_search.ShardedSearchExecutor`, so the two fast
-paths cannot drift apart.
+``tests/test_reference_oracles.py`` pin the full search).  The vectorized
+mask builds a survivor memo; :class:`~repro.core.index.SlotIndex`'s
+incremental memo upkeep applies the scalar kernel one row at a time.
 """
 
 from __future__ import annotations
@@ -40,13 +35,9 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable
 
-__all__ = ["Row", "SurvivorRow", "ColumnStore", "static_survivor", "expiry_bound"]
+import numpy as np
 
-try:  # numpy is a hard dependency of phase 2 (repro.core.optimize), but
-    # the phase-1 column path degrades gracefully to the scalar kernel.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
+__all__ = ["Row", "SurvivorRow", "ColumnStore", "static_survivor", "expiry_bound"]
 
 #: Primitive row layout shared by every fast path:
 #: ``(start, end, resource uid, performance, price)``.  The leading
@@ -93,8 +84,8 @@ def static_survivor(
 
     This scalar kernel and the vectorized mask of
     :meth:`ColumnStore.survivors` are interchangeable bit-for-bit; the
-    incremental memo maintenance of the index and the shard states uses
-    this form because it touches one row at a time.
+    incremental memo maintenance of the index uses this form because it
+    touches one row at a time.
     """
     performance = row[3]
     if performance < min_performance:
@@ -119,10 +110,10 @@ class ColumnStore:
     """Parallel primitive columns of a sorted slot-row table.
 
     Rows are kept sorted by ``(start, end, uid)`` — the scan order of
-    every finder.  The store holds no ``Slot`` objects, and neither do
-    its owners: :class:`~repro.core.index.SlotIndex` and the shard
-    states keep a ``uid → Resource`` map and rebuild value-equal slots
-    from rows where one is read.
+    every finder.  The store holds no ``Slot`` objects, and neither does
+    its owner: :class:`~repro.core.index.SlotIndex` keeps a
+    ``uid → Resource`` map and rebuilds value-equal slots from rows
+    where one is read.
     """
 
     __slots__ = ("starts", "ends", "uids", "perfs", "prices", "_uid_counts")
@@ -156,17 +147,9 @@ class ColumnStore:
             self.prices[position],
         )
 
-    def key_at(self, position: int) -> tuple[float, float, int]:
-        """The sort key ``(start, end, uid)`` of the row at ``position``."""
-        return (self.starts[position], self.ends[position], self.uids[position])
-
     def rows(self) -> list[Row]:
         """All rows in scan order (materialised tuples)."""
         return [self.row_at(position) for position in range(len(self.starts))]
-
-    def uid_present(self, uid: int) -> bool:
-        """Whether any row of resource ``uid`` is in the table."""
-        return uid in self._uid_counts
 
     # ------------------------------------------------------------------ #
     # Ordered mutation                                                   #
@@ -278,15 +261,12 @@ class ColumnStore:
         min_performance: float,
         max_price: float | None,
         min_end: float = float("-inf"),
-    ) -> tuple[list[SurvivorRow], list[int]]:
-        """Rows passing the static predicates, with their positions.
+    ) -> list[SurvivorRow]:
+        """Rows passing the static predicates, in scan order.
 
-        Returns ``(entries, positions)`` where ``entries`` are
-        :data:`SurvivorRow` tuples in scan order and ``positions`` the
-        corresponding row indices.  With numpy present the mask is
-        evaluated vectorized over zero-copy buffer views of the columns;
-        the result is bit-identical to mapping :func:`static_survivor`
-        over every row.
+        The mask is evaluated vectorized over zero-copy buffer views of
+        the columns; the result is bit-identical to mapping
+        :func:`static_survivor` over every row.
 
         ``min_end`` additionally drops rows with ``end <= min_end`` —
         an exact comparison, so the result equals the unfiltered
@@ -295,46 +275,29 @@ class ColumnStore:
         attaching entries the scan would immediately discard as
         hint-dead.
         """
-        if _np is not None and len(self.starts):
-            perfs = _np.frombuffer(self.perfs)
-            mask = perfs >= min_performance
-            if max_price is not None:
-                mask &= _np.frombuffer(self.prices) <= max_price
-            runtimes = volume / perfs
-            starts = _np.frombuffer(self.starts)
-            ends = _np.frombuffer(self.ends)
-            mask &= (ends - starts) >= runtimes
-            if min_end != float("-inf"):
-                mask &= ends > min_end
-            chosen = _np.flatnonzero(mask)
-            positions: list[int] = chosen.tolist()
-            entries: list[SurvivorRow] = list(
-                zip(
-                    starts[chosen].tolist(),
-                    ends[chosen].tolist(),
-                    _np.frombuffer(self.uids, dtype=_np.int64)[chosen].tolist(),
-                    perfs[chosen].tolist(),
-                    _np.frombuffer(self.prices)[chosen].tolist(),
-                    runtimes[chosen].tolist(),
-                    expiry_bound(ends, runtimes)[chosen].tolist(),
-                )
+        perfs = np.frombuffer(self.perfs)
+        mask = perfs >= min_performance
+        if max_price is not None:
+            mask &= np.frombuffer(self.prices) <= max_price
+        runtimes = volume / perfs
+        starts = np.frombuffer(self.starts)
+        ends = np.frombuffer(self.ends)
+        mask &= (ends - starts) >= runtimes
+        if min_end != float("-inf"):
+            mask &= ends > min_end
+        chosen = np.flatnonzero(mask)
+        return list(
+            zip(
+                starts[chosen].tolist(),
+                ends[chosen].tolist(),
+                np.frombuffer(self.uids, dtype=np.int64)[chosen].tolist(),
+                perfs[chosen].tolist(),
+                np.frombuffer(self.prices)[chosen].tolist(),
+                runtimes[chosen].tolist(),
+                expiry_bound(ends, runtimes)[chosen].tolist(),
             )
-            return entries, positions
-        scalar_entries: list[SurvivorRow] = []
-        scalar_positions: list[int] = []
-        for position in range(len(self.starts)):
-            if self.ends[position] <= min_end:
-                continue
-            entry = static_survivor(
-                self.row_at(position), volume, min_performance, max_price
-            )
-            if entry is not None:
-                scalar_entries.append(entry)
-                scalar_positions.append(position)
-        return scalar_entries, scalar_positions
+        )
 
     def count_end_at_or_before(self, limit: float) -> int:
         """Rows whose ``end <= limit`` — the tier-1 start-hint prune count."""
-        if _np is not None and len(self.ends):
-            return int(_np.count_nonzero(_np.frombuffer(self.ends) <= limit))
-        return sum(1 for end in self.ends if end <= limit)
+        return int(np.count_nonzero(np.frombuffer(self.ends) <= limit))

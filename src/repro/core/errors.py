@@ -205,13 +205,12 @@ class WorkerLostError(SchedulingError):
     """A parallel worker process died and supervised recovery gave up.
 
     Raised by the parallel experiment engine
-    (:class:`~repro.sim.experiment.ParallelRunner`) and the sharded
-    search executor (:class:`~repro.core.shard_search.ShardedSearchExecutor`)
-    after a killed or wedged worker process could not be replaced within
-    the supervisor's bounded restart budget.  Because every worker
-    assignment is derived-seed pure, a *successful* supervised retry is
-    byte-identical to an undisturbed run; this error means the fault
-    recurred past the budget and the run cannot be trusted to finish.
+    (:class:`~repro.sim.experiment.ParallelRunner`) after a killed or
+    wedged worker process could not be replaced within the supervisor's
+    bounded restart budget.  Because every worker assignment is
+    derived-seed pure, a *successful* supervised retry is byte-identical
+    to an undisturbed run; this error means the fault recurred past the
+    budget and the run cannot be trusted to finish.
     Deriving from :class:`SchedulingError` maps it to the CLI's standard
     exit code 2.
     """
@@ -220,12 +219,9 @@ class WorkerLostError(SchedulingError):
         self,
         message: str,
         *,
-        shard: int | None = None,
         restarts: int | None = None,
     ) -> None:
         super().__init__(message)
-        #: Index of the shard/span whose worker was lost, when known.
-        self.shard = shard
         #: How many supervised restarts were attempted before giving up.
         self.restarts = restarts
 

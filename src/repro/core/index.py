@@ -5,11 +5,10 @@ primitive *columns* (start, end, resource uid, performance, price in
 ``array('d')``/``array('q')`` storage — :class:`~repro.core.columns.ColumnStore`),
 so the ALP/AMP forward scans run over local floats instead of chasing
 ``Slot → Resource`` attribute chains.  The index holds no ``Slot``
-objects at all: like the sharded executor, it keeps the only
-``uid → Resource`` map and builds objects only where something reads
-them.  A window the finders accept keeps its placements as primitive
-tuples plus its own ``Resource`` objects
-(:meth:`~repro.core.window.Window.from_placements`), and builds its
+objects at all: it keeps the only ``uid → Resource`` map and builds
+objects only where something reads them.  A window the finders accept
+keeps its placements as primitive tuples plus its own ``Resource``
+objects (:meth:`~repro.core.window.Window.from_placements`), and builds its
 allocations and their source ``Slot`` objects on the first read of
 ``window.allocations``; :meth:`subtract`'s return value and
 :meth:`slot_list` are rebuilt from rows.  A finished search hands on
@@ -36,10 +35,7 @@ are built once by a vectorized mask over the columns
 (:meth:`ColumnStore.survivors`) and then maintained incrementally
 through ``commit``/``insert``/``subtract``, so the repeated passes of
 one alternative search only re-apply the cheap dynamic start-hint
-predicate over the pre-filtered survivors.  This is the same memo
-scheme the per-shard states of
-:class:`~repro.core.shard_search.ShardedSearchExecutor` use (both share
-the kernels in :mod:`repro.core.columns`), applied to the serial path.
+predicate over the pre-filtered survivors.
 
 The finders here are drop-in equivalents of :func:`repro.core.alp.find_window`
 and :func:`repro.core.amp.find_window`: they perform the same suitability
@@ -48,9 +44,7 @@ the same float-operation order, so the produced windows are bit-for-bit
 identical to the reference scans (``tests/test_reference_oracles.py``
 enforces this differentially, ``tests/test_properties.py`` checks the
 model invariants).  Hoisting the static predicates out of the scan loop
-is order-safe because every skip condition is a pure per-row predicate —
-the argument (and the test suite) that already underwrites the sharded
-path.
+is order-safe because every skip condition is a pure per-row predicate.
 
 Two assumptions, both guaranteed by the paper's model and checked by the
 test suite, let the index go beyond the reference implementation:
@@ -194,8 +188,7 @@ class SlotIndex:
 
     def __init__(self, slots: Iterable[Slot] = ()) -> None:
         materialized = list(slots)
-        # The only uid → Resource map; workers of the sharded executor
-        # and the rows here exchange primitive tuples only.
+        # The only uid → Resource map; the rows hold uids only.
         self._resources: dict[int, Resource] = {
             slot.resource.uid: slot.resource for slot in materialized
         }
@@ -281,8 +274,7 @@ class SlotIndex:
         """Materialise the current state as a plain :class:`SlotList`.
 
         The returned slots are value-equal reconstructions from the
-        live rows (the index keeps no ``Slot`` objects), exactly like
-        the sharded executor's :meth:`~ShardedSearchExecutor.slot_list`.
+        live rows (the index keeps no ``Slot`` objects).
         """
         return self.live_rows().slot_list()
 
@@ -384,7 +376,7 @@ class SlotIndex:
             # dropped vectorized and ``hint`` becomes the floor — the
             # same state compaction would eventually reach, minus the
             # churn of re-attaching and re-skipping them.
-            entries, _positions = self._columns().survivors(
+            entries = self._columns().survivors(
                 volume, min_performance, max_price, hint
             )
             if memo is None:
@@ -697,9 +689,8 @@ class SlotIndex:
         (:meth:`~repro.core.window.Window.placements`, which serves built
         and unbuilt windows alike), so committing never builds a
         ``Slot``.  Each source slot is matched by value — ``(start,
-        end, uid)`` key in the live-row map plus price — the same
-        contract as the sharded :meth:`_ShardState.commit`.  The map and
-        the journal are updated at once; the columns catch up on read.
+        end, uid)`` key in the live-row map plus price.  The map and the
+        journal are updated at once; the columns catch up on read.
 
         Raises:
             SlotListError: If some source slot is no longer in the index.

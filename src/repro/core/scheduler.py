@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.core.criteria import Criterion
-from repro.core.errors import InfeasibleConstraintError, InvalidRequestError
+from repro.core.errors import InfeasibleConstraintError
 from repro.core.job import Batch, Job
 from repro.core.optimize import (
     DEFAULT_RESOLUTION,
@@ -68,10 +68,6 @@ class SchedulerConfig:
         budget: Optional deadline/operation budget for phase 2; under
             overload the DP degrades (stepped-down resolution, then a
             greedy per-job selection) instead of stalling the iteration.
-        search_shards: Partition-parallel phase-1 search over this many
-            node shards (1 = serial).  Byte-identical to the serial path
-            for every count (``tests/test_reference_oracles.py``); pays
-            off only on fleet-scale slot lists (see docs/benchmarks.md).
         dp_memo: Cross-cycle DP memo for the phase-2 backward runs;
             ``None`` (the default) gives every :class:`BatchScheduler`
             built from this config its **own private** memo — schedulers
@@ -90,14 +86,7 @@ class SchedulerConfig:
     max_alternatives_per_job: int | None = None
     infeasible_policy: InfeasiblePolicy = InfeasiblePolicy.RAISE
     budget: OptimizationBudget | None = None
-    search_shards: int = 1
     dp_memo: DPMemo | None = None
-
-    def __post_init__(self) -> None:
-        if self.search_shards < 1:
-            raise InvalidRequestError(
-                f"search_shards must be >= 1, got {self.search_shards!r}"
-            )
 
 
 @dataclass
@@ -192,18 +181,12 @@ class BatchScheduler:
         else:
             schedule_span = NOOP_SPAN
         with schedule_span:
-            # search_shards > 1 opts into the indexed scheme explicitly:
-            # the sharded path only exists on top of it, and under
-            # telemetry the explicit flag selects the instrumented
-            # sharded search instead of the serial reference path.
             search = find_alternatives(
                 slot_list,
                 batch,
                 config.algorithm,
                 rho=config.rho,
                 max_alternatives_per_job=config.max_alternatives_per_job,
-                use_index=True if config.search_shards > 1 else None,
-                shards=config.search_shards if config.search_shards > 1 else None,
             )
             postponed = search.jobs_without_alternatives()
             covered = {

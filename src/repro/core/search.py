@@ -30,7 +30,6 @@ from repro.core import alp, amp
 from repro.core.errors import InvalidRequestError
 from repro.core.index import NEG_INF, LiveRows, SlotIndex
 from repro.core.job import Batch, Job, ResourceRequest
-from repro.core.shard_search import ShardedSearchExecutor
 from repro.core.slot import SlotList
 from repro.core.window import Window
 from repro.obs.telemetry import Telemetry, get_telemetry
@@ -40,7 +39,6 @@ __all__ = [
     "SearchResult",
     "find_alternatives",
     "WindowFinder",
-    "DEFAULT_SHARDS",
 ]
 
 #: Default search path for :func:`find_alternatives` when ``use_index`` is
@@ -50,13 +48,6 @@ __all__ = [
 #: hatch the benchmarks use to measure the speedup against the seed
 #: behaviour.
 DEFAULT_USE_INDEX = True
-
-#: Default shard count for :func:`find_alternatives` when ``shards`` is
-#: not given: the phase-1 scan stays serial unless a caller opts into the
-#: partition-parallel path (``shards > 1``), which is byte-identical to
-#: serial (``tests/test_reference_oracles.py``) but only pays off on
-#: fleet-scale slot lists (see docs/benchmarks.md).
-DEFAULT_SHARDS = 1
 
 #: Signature of a pluggable single-window search: takes the current slot
 #: list and a request, returns a window or ``None``.
@@ -173,8 +164,6 @@ def find_alternatives(
     max_passes: int | None = None,
     max_alternatives_per_job: int | None = None,
     use_index: bool | None = None,
-    shards: int | None = None,
-    shard_processes: bool | None = None,
 ) -> SearchResult:
     """Find alternative windows for every job of ``batch``.
 
@@ -200,22 +189,6 @@ def find_alternatives(
             the contract.  An *explicit* ``use_index=True`` under enabled
             telemetry runs the instrumented indexed scheme instead
             (phase timers, start-hint prune accounting).
-        shards: Partition-parallel phase-1 search over this many node
-            shards (default :data:`DEFAULT_SHARDS`, i.e. serial).  The
-            sharded path is byte-identical to serial for every shard
-            count and requires the indexed scheme: ``shards > 1`` with
-            an explicit ``use_index=False`` is rejected, and — because a
-            default ``use_index`` under enabled telemetry selects the
-            *serial* instrumented reference path — ``shards > 1`` with
-            default ``use_index`` and enabled telemetry raises
-            :class:`InvalidRequestError` instead of silently degrading;
-            pass ``use_index=True`` to run the instrumented sharded
-            search.  Custom finder callables cannot be partitioned.
-        shard_processes: Force shard worker processes on/off; ``None``
-            (default) runs the shards in-process, which the EXP-SHARD
-            benchmark shows is the faster mode for multi-pass searches
-            at every slot-list size (memoized shard scans are cheaper
-            than pipe round-trips).  Only meaningful with ``shards > 1``.
     """
     if max_passes is not None and max_passes < 1:
         raise InvalidRequestError(f"max_passes must be >= 1, got {max_passes!r}")
@@ -224,56 +197,6 @@ def find_alternatives(
             f"max_alternatives_per_job must be >= 1, got {max_alternatives_per_job!r}"
         )
     telemetry = get_telemetry()
-    if shards is None:
-        shards = DEFAULT_SHARDS
-    elif shards < 1:
-        raise InvalidRequestError(f"shards must be >= 1, got {shards!r}")
-    if shard_processes is not None and shards == 1:
-        raise InvalidRequestError(
-            f"shard_processes={shard_processes!r} is meaningless with shards=1; "
-            "pass shards > 1 to enable the partition-parallel search"
-        )
-    if shards > 1:
-        if not isinstance(algorithm, SlotSearchAlgorithm):
-            raise InvalidRequestError(
-                "sharded search supports only the built-in ALP/AMP algorithms; "
-                "a custom window finder cannot be partitioned"
-            )
-        if use_index is None:
-            if telemetry.enabled:
-                raise InvalidRequestError(
-                    "shards > 1 with default use_index under enabled telemetry "
-                    "would silently fall back to the serial instrumented "
-                    "reference path; pass use_index=True to run the "
-                    "instrumented sharded search"
-                )
-        elif not use_index:
-            raise InvalidRequestError(
-                "sharded search runs on the indexed scheme; use_index=False "
-                "is incompatible with shards > 1"
-            )
-        if telemetry.enabled:
-            return _find_alternatives_sharded_instrumented(
-                telemetry,
-                slot_list,
-                batch,
-                algorithm,
-                rho=rho,
-                max_passes=max_passes,
-                max_alternatives_per_job=max_alternatives_per_job,
-                shards=shards,
-                processes=shard_processes,
-            )
-        return _find_alternatives_sharded(
-            slot_list,
-            batch,
-            algorithm,
-            rho=rho,
-            max_passes=max_passes,
-            max_alternatives_per_job=max_alternatives_per_job,
-            shards=shards,
-            processes=shard_processes,
-        )
     if use_index is None:
         use_index = DEFAULT_USE_INDEX
         index_allowed = not telemetry.enabled
@@ -551,8 +474,7 @@ def _find_alternatives_indexed_instrumented(
         hints: dict[Job, float] = {job: NEG_INF for job in batch}
         alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
         # Same ALP-only exhausted-job rule as _find_alternatives_indexed
-        # (see the comment there); the sharded instrumented path applies
-        # it identically, keeping the canonical traces equal.
+        # (see the comment there).
         exhausted: set[Job] = set()
         passes = 0
         while max_passes is None or passes < max_passes:
@@ -635,216 +557,3 @@ def _find_alternatives_indexed_instrumented(
         telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
         return result
 
-
-def _find_alternatives_sharded(
-    slot_list: SlotList,
-    batch: Batch,
-    algorithm: SlotSearchAlgorithm,
-    *,
-    rho: float,
-    max_passes: int | None,
-    max_alternatives_per_job: int | None,
-    shards: int,
-    processes: bool | None,
-) -> SearchResult:
-    """The multi-pass scheme over a partition-parallel executor.
-
-    Identical control flow to :func:`_find_alternatives_indexed` with the
-    :class:`~repro.core.shard_search.ShardedSearchExecutor` standing in
-    for the :class:`SlotIndex` — the executor's finders merge per-shard
-    survivor streams back into global scan order, so every window, hint,
-    and remaining slot is byte-identical to the serial path.
-    """
-    executor = ShardedSearchExecutor(slot_list, shards, processes=processes)
-    try:
-        is_amp = algorithm is SlotSearchAlgorithm.AMP
-        budgets = (
-            {job: job.request.scaled_budget(rho) for job in batch} if is_amp else {}
-        )
-        hints: dict[Job, float] = {job: NEG_INF for job in batch}
-        alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-        # Same ALP-only exhausted-job rule as _find_alternatives_indexed
-        # (see the comment there).
-        exhausted: set[Job] = set()
-        passes = 0
-        while max_passes is None or passes < max_passes:
-            passes += 1
-            found_any = False
-            for job in batch:
-                if job in exhausted:
-                    continue
-                windows = alternatives[job]
-                if (
-                    max_alternatives_per_job is not None
-                    and len(windows) >= max_alternatives_per_job
-                ):
-                    continue
-                if is_amp:
-                    found = executor.find_amp_window_at(
-                        job.request, budget=budgets[job], start_hint=hints[job]
-                    )
-                    if found is None:
-                        continue
-                    window, event_time = found
-                else:
-                    window = executor.find_alp_window(
-                        job.request, start_hint=hints[job]
-                    )
-                    if window is None:
-                        exhausted.add(job)
-                        continue
-                    event_time = window.start
-                executor.commit(window)
-                hints[job] = event_time
-                windows.append(window)
-                found_any = True
-            if not found_any:
-                break
-        return SearchResult(
-            alternatives=alternatives,
-            remaining_slots=executor.slot_list(),
-            passes=passes,
-        )
-    finally:
-        executor.close()
-
-
-def _find_alternatives_sharded_instrumented(
-    telemetry: Telemetry,
-    slot_list: SlotList,
-    batch: Batch,
-    algorithm: SlotSearchAlgorithm,
-    *,
-    rho: float,
-    max_passes: int | None,
-    max_alternatives_per_job: int | None,
-    shards: int,
-    processes: bool | None,
-) -> SearchResult:
-    """The partition-parallel scheme with telemetry on.
-
-    Emits exactly the surface of
-    :func:`_find_alternatives_indexed_instrumented` — same span
-    attributes, counters, decision records, and hint-skip accounting
-    (per-shard counts sum to the serial value) — so ``canonical_trace``
-    of a sharded run equals the serial indexed run's.  The only sharded
-    extras are per-shard ``phase.seconds`` timings, which the canonical
-    form strips along with every other duration.
-    """
-    decisions = telemetry.decisions
-    record_decisions = decisions.enabled
-    scan_seconds = 0.0
-    subtract_seconds = 0.0
-    hint_skips = 0
-    runtime_skips = 0
-    with telemetry.span(
-        "phase1.find_alternatives",
-        algo=algorithm.value,
-        jobs=len(batch),
-        indexed=True,
-    ):
-        executor = ShardedSearchExecutor(slot_list, shards, processes=processes)
-        try:
-            is_amp = algorithm is SlotSearchAlgorithm.AMP
-            budgets = (
-                {job: job.request.scaled_budget(rho) for job in batch}
-                if is_amp
-                else {}
-            )
-            hints: dict[Job, float] = {job: NEG_INF for job in batch}
-            alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-            # Same ALP-only exhausted-job rule as the serial indexed
-            # paths (see _find_alternatives_indexed).
-            exhausted: set[Job] = set()
-            passes = 0
-            while max_passes is None or passes < max_passes:
-                passes += 1
-                found_any = False
-                for job in batch:
-                    if job in exhausted:
-                        continue
-                    windows = alternatives[job]
-                    if (
-                        max_alternatives_per_job is not None
-                        and len(windows) >= max_alternatives_per_job
-                    ):
-                        continue
-                    began = perf_counter()
-                    if is_amp:
-                        found = executor.find_amp_window_at(
-                            job.request,
-                            budget=budgets[job],
-                            start_hint=hints[job],
-                            count_skips=record_decisions,
-                        )
-                    else:
-                        alp_window = executor.find_alp_window(
-                            job.request,
-                            start_hint=hints[job],
-                            count_skips=record_decisions,
-                        )
-                        found = (
-                            None
-                            if alp_window is None
-                            else (alp_window, alp_window.start)
-                        )
-                    scan_seconds += perf_counter() - began
-                    if record_decisions:
-                        skipped = executor.last_hint_skips
-                        runtime_skipped = executor.last_runtime_skips
-                    else:
-                        skipped = 0
-                        runtime_skipped = 0
-                    hint_skips += skipped
-                    runtime_skips += runtime_skipped
-                    if found is None:
-                        if not is_amp:
-                            exhausted.add(job)
-                        if record_decisions:
-                            decisions.emit(
-                                "index.no_window",
-                                job=job.name,
-                                search_pass=passes,
-                                hint_skips=skipped,
-                                hint_runtime_skips=runtime_skipped,
-                            )
-                        continue
-                    window, event_time = found
-                    began = perf_counter()
-                    executor.commit(window)
-                    subtract_seconds += perf_counter() - began
-                    hints[job] = event_time
-                    windows.append(window)
-                    found_any = True
-                    if record_decisions:
-                        decisions.emit(
-                            "search.alternative_accepted",
-                            job=job.name,
-                            alternative=len(windows),
-                            search_pass=passes,
-                            start=window.start,
-                            cost=window.cost,
-                            hint_skips=skipped,
-                            hint_runtime_skips=runtime_skipped,
-                        )
-                if not found_any:
-                    break
-            result = SearchResult(
-                alternatives=alternatives,
-                remaining_slots=executor.slot_list(),
-                passes=passes,
-            )
-            for shard, seconds in enumerate(executor.shard_scan_seconds):
-                telemetry.observe(
-                    "phase.seconds", seconds, phase=f"phase1.shard{shard}.scan"
-                )
-        finally:
-            executor.close()
-        _flush_batch_metrics(telemetry, result, algorithm.value)
-        telemetry.count("search.hint_skips", hint_skips, algo=algorithm.value)
-        telemetry.count(
-            "search.hint_runtime_skips", runtime_skips, algo=algorithm.value
-        )
-        telemetry.observe("phase.seconds", scan_seconds, phase="phase1.index_scan")
-        telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
-        return result

@@ -46,8 +46,8 @@ Placement = tuple[int, float, float, float, float, float, float, Resource]
 def _carved_allocation(source: Slot, start: float, end: float) -> TaskAllocation:
     """Construct a :class:`TaskAllocation` without re-validating containment.
 
-    Trusted fast path for windows built from the indexed and sharded
-    finders' placements, whose scan invariants guarantee
+    Trusted fast path for windows built from the indexed finders'
+    placements, whose scan invariants guarantee
     ``source.contains_span(start, end)``: a candidate is only admitted
     while ``end - window_start >= runtime`` holds and rows are scanned in
     start order, so every emitted placement fits its source slot by
@@ -166,7 +166,7 @@ class Window:
     ) -> "Window":
         """Construct a window from a finder's placements without re-validating.
 
-        Trusted fast path for the indexed and sharded finders: the scan
+        Trusted fast path for the indexed finders: the scan
         emits exactly ``node_count`` placements sharing one start, and
         distinct resources follow from same-resource slots being
         disjoint (two placements covering the same start on one

@@ -102,7 +102,6 @@ class Metascheduler:
         max_pending: int | None = None,
         demand_pricing: DemandAdjustedPricing | None = None,
         recovery: RecoveryManager | RetryPolicy | None = None,
-        search_shards: int | None = None,
     ) -> None:
         """Configure the cycle.
 
@@ -135,12 +134,6 @@ class Metascheduler:
                 bare :class:`~repro.grid.resilience.RetryPolicy`, which
                 gets wrapped) enables the hot-swap → re-search →
                 backoff-resubmit ladder with per-job revocation budgets.
-            search_shards: Partition-parallel phase-1 search for the
-                *default* scheduler (byte-identical to serial; see
-                :mod:`repro.core.shard_search`).  Only valid when
-                ``scheduler`` is not given — a caller-supplied scheduler
-                carries its own :class:`SchedulerConfig`, and silently
-                overriding it would hide the conflict.
         """
         if period <= 0:
             raise InvalidRequestError(f"period must be positive, got {period!r}")
@@ -154,17 +147,9 @@ class Metascheduler:
             raise InvalidRequestError(
                 f"max_pending must be >= 1, got {max_pending!r}"
             )
-        if search_shards is not None and scheduler is not None:
-            raise InvalidRequestError(
-                "search_shards applies to the default scheduler only; "
-                "set SchedulerConfig.search_shards on the supplied scheduler"
-            )
         self.environment = environment
         self.scheduler = scheduler or BatchScheduler(
-            SchedulerConfig(
-                infeasible_policy=InfeasiblePolicy.EARLIEST,
-                search_shards=search_shards if search_shards is not None else 1,
-            )
+            SchedulerConfig(infeasible_policy=InfeasiblePolicy.EARLIEST)
         )
         self.period = period
         self.horizon = horizon

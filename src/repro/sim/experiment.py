@@ -142,11 +142,6 @@ class ExperimentConfig:
             are keyed by resource name and salted with the iteration's
             derived seed, so sharded runs stay byte-identical for any
             worker count.
-        search_shards: Partition-parallel phase-1 search within every
-            scheduling cycle (1 = serial).  Byte-identical to serial for
-            any count, so it composes freely with iteration-level
-            sharding (:class:`ParallelRunner`); worth enabling only on
-            fleet-scale slot lists (see docs/benchmarks.md).
     """
 
     objective: Criterion = Criterion.TIME
@@ -157,7 +152,6 @@ class ExperimentConfig:
     resolution: int = DEFAULT_RESOLUTION
     rho: float = 1.0
     failures: "FailureConfig | None" = None
-    search_shards: int = 1
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -170,10 +164,6 @@ class ExperimentConfig:
             )
         if self.rho <= 0:
             raise InvalidRequestError(f"rho must be positive, got {self.rho!r}")
-        if self.search_shards < 1:
-            raise InvalidRequestError(
-                f"search_shards must be >= 1, got {self.search_shards!r}"
-            )
 
 
 @dataclass
@@ -202,23 +192,13 @@ def run_pipeline(
     *,
     resolution: int = DEFAULT_RESOLUTION,
     rho: float = 1.0,
-    search_shards: int = 1,
 ) -> tuple[AlgorithmSample, Combination] | None:
     """Run phase 1 + phase 2 for one algorithm; ``None`` when dropped.
 
     Dropping happens when some job gets no alternative or the derived
     constraint is infeasible — exactly the paper's filtering rule.
     """
-    # shards > 1 must select the indexed scheme explicitly so traced
-    # runs take the instrumented sharded path instead of erroring.
-    search = find_alternatives(
-        slots,
-        batch,
-        algorithm,
-        rho=rho,
-        use_index=True if search_shards > 1 else None,
-        shards=search_shards if search_shards > 1 else None,
-    )
+    search = find_alternatives(slots, batch, algorithm, rho=rho)
     if not search.all_jobs_covered():
         return None
     covered = search.alternatives
@@ -295,14 +275,7 @@ def run_iteration(
     outcomes = {}
     uncovered = False
     for algorithm in (SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP):
-        search = find_alternatives(
-            slots,
-            batch,
-            algorithm,
-            rho=config.rho,
-            use_index=True if config.search_shards > 1 else None,
-            shards=config.search_shards if config.search_shards > 1 else None,
-        )
+        search = find_alternatives(slots, batch, algorithm, rho=config.rho)
         if not search.all_jobs_covered():
             uncovered = True
             break

@@ -178,55 +178,3 @@ class TestRecordHistory:
         )
         assert value > 0
 
-
-class TestShardGate:
-    """The EXP-SHARD ``shard_speedup`` metric rides the same gate."""
-
-    SHARD_ARGS = ["--section", "shard_workload", "--metric", "shard_speedup"]
-
-    def write_shard_doc(self, path: Path, value: float) -> str:
-        path.write_text(
-            json.dumps({"shard_workload": {"shard_speedup": value}}) + "\n",
-            encoding="utf-8",
-        )
-        return str(path)
-
-    def test_committed_history_seeds_the_shard_gate(self):
-        # BENCH_history.jsonl ships the EXP-SHARD acceptance entry: a
-        # >= 2x phase-1 speedup at 4 shards over the serial indexed path.
-        repo_history = Path(bench_conftest.HISTORY_PATH)
-        assert repo_history.exists()
-        value = load_metric(str(repo_history), "shard_workload", "shard_speedup")
-        assert value >= 2.0
-
-    def test_regressed_shard_speedup_fails_the_gate(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        history.write_text(
-            json.dumps({"section": "shard_workload", "values": {"shard_speedup": 2.8}})
-            + "\n",
-            encoding="utf-8",
-        )
-        candidate = self.write_shard_doc(tmp_path / "cand.json", 1.1)
-        code = main(
-            ["--baseline", str(history), "--candidate", candidate, "--tolerance", "0.5"]
-            + self.SHARD_ARGS
-        )
-        assert code == 1
-        assert "bench-gate FAIL" in capsys.readouterr().err
-
-    def test_noisy_but_healthy_shard_speedup_passes(self, tmp_path, capsys):
-        # CI runners are noisy: the shard gate runs with tolerance 0.5,
-        # so a 2.8x baseline admits candidates down to 1.4x.
-        history = tmp_path / "history.jsonl"
-        history.write_text(
-            json.dumps({"section": "shard_workload", "values": {"shard_speedup": 2.8}})
-            + "\n",
-            encoding="utf-8",
-        )
-        candidate = self.write_shard_doc(tmp_path / "cand.json", 1.5)
-        code = main(
-            ["--baseline", str(history), "--candidate", candidate, "--tolerance", "0.5"]
-            + self.SHARD_ARGS
-        )
-        assert code == 0
-        assert "bench-gate PASS" in capsys.readouterr().out

@@ -8,10 +8,8 @@ fixed seed, so CI replays exactly the sweep a failing report names.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
-import time
 from dataclasses import dataclass
 
 import pytest
@@ -24,18 +22,12 @@ from repro.chaos import (
     SimulatedCrash,
     WorkerSupervisor,
     derive_fault_seed,
-    kill_shard_worker,
     run_campaigns,
     sweep_crash_points,
     sweep_experiment_resume,
 )
 from repro.chaos.fs import flip_one_bit
-from repro.core import (
-    InvalidRequestError,
-    ShardedSearchExecutor,
-    SlotIndex,
-    SchedulingError,
-)
+from repro.core import InvalidRequestError, SchedulingError
 from repro.core.errors import (
     JournalClosedError,
     PersistenceError,
@@ -43,7 +35,6 @@ from repro.core.errors import (
 )
 from repro.core.journal import JournalWriter, read_journal
 from repro.sim.experiment import ExperimentConfig, ParallelRunner
-from tests.conftest import make_random_request, make_random_slot_list
 
 import random
 
@@ -231,90 +222,3 @@ class TestPoolRecovery:
         # must ride that path.
         assert issubclass(WorkerLostError, SchedulingError)
 
-
-def _fingerprint(window):
-    if window is None:
-        return None
-    return (
-        window.start,
-        tuple(
-            (a.resource.uid, a.start, a.end, a.source.price)
-            for a in window.allocations
-        ),
-    )
-
-
-def _slot_rows(slots):
-    return sorted((s.resource.uid, s.start, s.end, s.price) for s in slots)
-
-
-class TestShardRecovery:
-    def test_killed_shard_worker_replays_identically(self):
-        # Satellite regression: SIGKILL one shard worker mid-sequence;
-        # the respawned worker replays its mutation log and the search
-        # results stay identical to the in-process oracle.
-        slots = make_random_slot_list(3, count=24)
-        seed = derive_fault_seed(CHAOS_SEED, "test-shard")
-        rng = random.Random(seed)
-        index = SlotIndex(slots)
-        with ShardedSearchExecutor(
-            slots, 3, processes=True, supervisor=ZERO_BACKOFF
-        ) as executor:
-            assert executor.uses_processes
-            for step in range(3):
-                if step == 1:
-                    kill_shard_worker(executor, rng.randrange(3))
-                request = make_random_request(rng)
-                reference = index.find_alp_window(request)
-                found = executor.find_alp_window(request)
-                assert _fingerprint(found) == _fingerprint(reference)
-                if reference is not None:
-                    index.commit(reference)
-                    executor.commit(found)
-            assert _slot_rows(executor.slot_list()) == _slot_rows(index.slot_list())
-
-    def test_exhausted_restart_budget_names_the_shard(self):
-        slots = make_random_slot_list(5, count=12)
-        supervisor = WorkerSupervisor(max_restarts=0, backoff_base=0.0, backoff_cap=0.0)
-        executor = ShardedSearchExecutor(slots, 2, processes=True, supervisor=supervisor)
-        try:
-            kill_shard_worker(executor, 1)
-            with pytest.raises(WorkerLostError, match="shard 1") as caught:
-                executor.find_alp_window(make_random_request(random.Random(3)))
-            assert caught.value.shard == 1
-        finally:
-            executor.close()
-
-    def test_kill_requires_process_mode(self):
-        slots = make_random_slot_list(7, count=8)
-        with ShardedSearchExecutor(slots, 2) as executor:
-            with pytest.raises(InvalidRequestError, match="process-mode"):
-                kill_shard_worker(executor, 0)
-
-    def test_close_survives_already_dead_worker(self):
-        slots = make_random_slot_list(9, count=12)
-        executor = ShardedSearchExecutor(
-            slots, 2, processes=True, supervisor=ZERO_BACKOFF
-        )
-        kill_shard_worker(executor, 0)
-        executor.close()  # dead pipe is recorded, not raised
-
-    def test_wedged_worker_is_terminated_with_typed_error(self):
-        # Satellite regression: a worker that ignores its stop request
-        # must be terminate()-d after the bounded join, and close() must
-        # name the wedged shard.
-        slots = make_random_slot_list(11, count=12)
-        executor = ShardedSearchExecutor(
-            slots, 2, processes=True, supervisor=ZERO_BACKOFF
-        )
-        kill_shard_worker(executor, 0)
-        sleeper = multiprocessing.Process(target=time.sleep, args=(60.0,), daemon=True)
-        sleeper.start()
-        stale, _ = multiprocessing.Pipe()
-        stale.close()
-        executor._workers[0] = sleeper
-        executor._connections[0] = stale
-        with pytest.raises(WorkerLostError, match="did not stop") as caught:
-            executor.close(timeout=0.2)
-        assert caught.value.shard == 0
-        assert not sleeper.is_alive()

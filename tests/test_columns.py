@@ -4,9 +4,8 @@ The load-bearing property is **mask/kernel parity**: the vectorized
 survivor mask of :meth:`ColumnStore.survivors` must be bit-for-bit
 interchangeable with mapping the scalar :func:`static_survivor` kernel
 over every row — same survivor set, same precomputed runtimes — because
-the serial index and the shard states build their memos through either
-form depending on whether numpy is present and whether the memo is
-being built (vectorized) or maintained (scalar).
+the index builds its survivor memos with the vectorized mask and
+maintains them row by row with the scalar kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import random
 
 import pytest
 
-import repro.core.columns as columns_module
 from repro.core.columns import ColumnStore, Row, static_survivor
 
 
@@ -34,16 +32,13 @@ def random_rows(seed: int, count: int = 60) -> list[Row]:
 
 def scalar_survivors(
     store: ColumnStore, volume: float, min_performance: float, max_price: float | None
-) -> tuple[list, list[int]]:
-    entries, positions = [], []
-    for position in range(len(store)):
-        entry = static_survivor(
-            store.row_at(position), volume, min_performance, max_price
-        )
+) -> list:
+    entries = []
+    for row in store.rows():
+        entry = static_survivor(row, volume, min_performance, max_price)
         if entry is not None:
             entries.append(entry)
-            positions.append(position)
-    return entries, positions
+    return entries
 
 
 class TestMaskKernelParity:
@@ -62,21 +57,18 @@ class TestMaskKernelParity:
             assert vec == scal
 
     def test_degenerate_request_keeps_all_rows(self):
-        # The sharded hint_skippable probe scans with volume 0 and an
-        # unbounded performance floor: every row must survive with
-        # runtime exactly 0.0.
+        # Volume 0 and an unbounded performance floor: every row must
+        # survive with runtime exactly 0.0.
         store = ColumnStore(random_rows(3))
-        entries, positions = store.survivors(0.0, float("-inf"), None)
-        assert positions == list(range(len(store)))
+        entries = store.survivors(0.0, float("-inf"), None)
+        assert [entry[:5] for entry in entries] == store.rows()
         assert all(entry[5] == 0.0 for entry in entries)
 
-    def test_scalar_fallback_without_numpy(self, monkeypatch):
+    @pytest.mark.parametrize("limit", [-1.0, 30.0, 1e9])
+    def test_count_end_at_or_before_matches_rows(self, limit):
         store = ColumnStore(random_rows(7))
-        vectorized = store.survivors(40.0, 1.2, 4.0)
-        monkeypatch.setattr(columns_module, "_np", None)
-        assert store.survivors(40.0, 1.2, 4.0) == vectorized
-        assert store.count_end_at_or_before(30.0) == sum(
-            1 for end in store.ends if end <= 30.0
+        assert store.count_end_at_or_before(limit) == sum(
+            1 for row in store.rows() if row[1] <= limit
         )
 
 
@@ -95,15 +87,18 @@ class TestStoreMutation:
         store = ColumnStore([(0.0, 10.0, 1, 1.0, 1.0), (5.0, 15.0, 2, 1.0, 1.0)])
         position = store.bisect_key((5.0, 15.0, 2))
         assert store.delete_at(position) == (5.0, 15.0, 2, 1.0, 1.0)
-        assert not store.uid_present(2)
-        assert store.uid_present(1)
+        everything = (float("-inf"), float("inf"))
+        assert store.find_same_uid_overlap(*everything, 2) is None
+        assert store.find_same_uid_overlap(*everything, 1) == (0.0, 10.0)
+        store.insert_row((20.0, 25.0, 2, 1.0, 1.0))
+        assert store.find_same_uid_overlap(*everything, 2) == (20.0, 25.0)
 
     def test_bisect_key_matches_list_semantics(self):
         store = ColumnStore(random_rows(5))
         rows = store.rows()
         for row in rows:
             key = (row[0], row[1], row[2])
-            assert store.key_at(store.bisect_key(key)) == key
+            assert store.row_at(store.bisect_key(key))[:3] == key
         assert store.bisect_key((float("inf"), 0.0, 0)) == len(store)
 
 

@@ -151,8 +151,7 @@ class TestHintPrunes:
 
 
 class TestDecisionRecordFields:
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_accepted_records_carry_both_tiers(self, shards):
+    def test_accepted_records_carry_both_tiers(self):
         configure(decisions=DecisionLog())
         telemetry = get_telemetry()
         slots = SlotList(
@@ -174,13 +173,7 @@ class TestDecisionRecordFields:
                 )
             ]
         )
-        find_alternatives(
-            slots,
-            batch,
-            SlotSearchAlgorithm.ALP,
-            use_index=True,
-            shards=shards if shards > 1 else None,
-        )
+        find_alternatives(slots, batch, SlotSearchAlgorithm.ALP, use_index=True)
         records = [
             record
             for record in telemetry.decisions.records
@@ -190,35 +183,3 @@ class TestDecisionRecordFields:
         for record in records:
             assert "hint_skips" in record
             assert "hint_runtime_skips" in record
-
-    def test_serial_and_sharded_report_equal_prunes(self):
-        from tests.conftest import make_random_batch, make_random_slot_list
-
-        for seed in range(6):
-            slots = make_random_slot_list(seed)
-            batch = make_random_batch(seed)
-            reports: list[list[tuple]] = []
-            for shards in (1, 2):
-                configure(decisions=DecisionLog())
-                telemetry = get_telemetry()
-                find_alternatives(
-                    slots,
-                    batch,
-                    SlotSearchAlgorithm.AMP,
-                    use_index=True,
-                    shards=shards if shards > 1 else None,
-                )
-                reports.append(
-                    [
-                        (
-                            record["op"],
-                            record.get("job"),
-                            record.get("hint_skips"),
-                            record.get("hint_runtime_skips"),
-                        )
-                        for record in telemetry.decisions.records
-                        if record["op"]
-                        in ("search.alternative_accepted", "index.no_window")
-                    ]
-                )
-            assert reports[0] == reports[1], f"prune reports diverge at seed {seed}"

@@ -1,6 +1,6 @@
 """Exactness of windows built on read.
 
-The indexed (and sharded) finders accept windows through
+The indexed finders accept windows through
 :meth:`Window.from_placements`: the window keeps primitive placements
 and builds its ``TaskAllocation``/``Slot`` objects only when
 ``allocations`` is first read.  ``start``, ``end`` and ``cost`` of an

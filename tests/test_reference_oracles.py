@@ -14,15 +14,6 @@ remaining slots — and identical phase-2 DP selections, across hundreds
 of random instances.  This is the equivalence-testing policy of
 docs/benchmarks.md: any future fast path must ship with tests of this
 shape before it may become the default.
-
-The third section is the *sharded-oracle* suite: the partition-parallel
-search (:class:`repro.core.shard_search.ShardedSearchExecutor`) must be
-byte-identical to the serial indexed path for **every** shard count —
-the merge of the per-shard filtered streams replays the serial candidate
-loop float-op for float-op, so the fingerprints compare with ``==``, not
-``approx``.  The churn scenario additionally drives the executor through
-the PR 3 revocation life cycle (commit / revoke / re-insert with carried
-hints) against a live :class:`SlotIndex`.
 """
 
 from __future__ import annotations
@@ -37,7 +28,6 @@ from repro.core import (
     Criterion,
     Resource,
     ResourceRequest,
-    ShardedSearchExecutor,
     Slot,
     SlotIndex,
     SlotList,
@@ -334,206 +324,3 @@ def test_indexed_find_with_stale_hints_after_reinsertion():
                 churned += 1
     assert churned >= 10, f"too few revocation churns exercised ({churned})"
 
-
-# --------------------------------------------------------------------- #
-# Sharded-oracle suite: partition-parallel search vs serial indexed     #
-# --------------------------------------------------------------------- #
-
-#: Shard counts under test: the serial degenerate case, even and odd
-#: splits, a count matching typical core counts, and one *larger than
-#: some instances' node sets* (trailing empty shards must be harmless).
-SHARD_COUNTS = [1, 2, 3, 4, 7]
-
-SHARD_SEEDS = range(25)
-
-
-def _sharded_fingerprints(
-    seed: int,
-    algorithm: SlotSearchAlgorithm,
-    shards: int,
-    *,
-    rho: float = 1.0,
-    processes: bool | None = None,
-):
-    """(serial indexed, sharded) search fingerprints of one instance."""
-    slots = make_random_slot_list(seed, count=40)
-    batch = make_random_batch(seed)
-    serial = find_alternatives(slots, batch, algorithm, rho=rho, use_index=True)
-    sharded = find_alternatives(
-        slots,
-        batch,
-        algorithm,
-        rho=rho,
-        use_index=True,
-        shards=shards,
-        shard_processes=processes if shards > 1 else None,
-    )
-    return _search_fingerprint(serial), _search_fingerprint(sharded)
-
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize(
-    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
-)
-def test_sharded_search_matches_serial(algorithm, shards):
-    """``find_alternatives(..., shards=N)`` is byte-identical to the
-    serial indexed search for every tested N — same alternatives, same
-    pass counts, same remaining slots, bit-equal floats throughout."""
-    for seed in SHARD_SEEDS:
-        serial, sharded = _sharded_fingerprints(seed, algorithm, shards)
-        assert sharded == serial, (
-            f"divergence on seed={seed} algorithm={algorithm.value} shards={shards}"
-        )
-
-
-@pytest.mark.parametrize(
-    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
-)
-def test_sharded_search_matches_serial_across_processes(algorithm):
-    """Worker *processes* change nothing: the master's merge restores the
-    global scan order regardless of how the OS schedules the shards."""
-    for seed in range(4):
-        serial, sharded = _sharded_fingerprints(seed, algorithm, 3, processes=True)
-        assert sharded == serial, f"divergence on seed={seed} (process mode)"
-
-
-def test_sharded_search_matches_serial_scaled_budget():
-    """Equivalence survives the Section 6 budget shrink (rho < 1)."""
-    for seed in range(15):
-        serial, sharded = _sharded_fingerprints(
-            seed, SlotSearchAlgorithm.AMP, 4, rho=0.5
-        )
-        assert sharded == serial, f"divergence on seed={seed} rho=0.5"
-
-
-def test_sharded_executor_matches_index_under_revocation_churn():
-    """The stale-hint revocation scenario, replayed against the executor.
-
-    The same commit/revoke/re-insert life cycle as
-    ``test_indexed_find_with_stale_hints_after_reinsertion``, but driving
-    a 3-shard :class:`ShardedSearchExecutor` in lockstep with a serial
-    :class:`SlotIndex`: every hinted find, every ``hint_skippable``
-    count, and the final materialised slot list must agree exactly —
-    including after re-inserted spans land on whichever shard owns the
-    revoked node.
-    """
-    churned = 0
-    for seed in range(40):
-        slots = make_random_slot_list(seed, count=30)
-        rng = random.Random(seed * 17 + 3)
-        request = make_random_request(rng)
-        index = SlotIndex(slots)
-        with ShardedSearchExecutor(slots, 3) as executor:
-            hint = float("-inf")
-            committed: list = []
-            for _ in range(5):
-                assert executor.hint_skippable(hint) == index.hint_skippable(hint)
-                reference = index.find_alp_window(request, start_hint=hint)
-                sharded = executor.find_alp_window(request, start_hint=hint)
-                assert (sharded is None) == (reference is None), f"seed={seed}"
-                if reference is None:
-                    break
-                assert _window_fingerprint(sharded) == _window_fingerprint(
-                    reference
-                ), f"divergence on seed={seed}"
-                index.commit(reference)
-                executor.commit(sharded)
-                committed.append(reference)
-                hint = reference.start
-                if len(committed) > 1 and rng.random() < 0.6:
-                    revoked = committed.pop(0)
-                    for allocation in revoked.allocations:
-                        replacement = Slot(
-                            allocation.resource,
-                            allocation.start,
-                            allocation.end,
-                            allocation.unit_price,
-                        )
-                        index.insert(replacement)
-                        executor.insert(replacement)
-                    churned += 1
-            remaining = sorted(
-                (s.resource.uid, s.start, s.end, s.price)
-                for s in executor.slot_list()
-            )
-            expected = sorted(
-                (s.resource.uid, s.start, s.end, s.price) for s in index.slot_list()
-            )
-            assert remaining == expected, f"slot lists diverged on seed={seed}"
-    assert churned >= 8, f"too few revocation churns exercised ({churned})"
-
-
-def test_sharded_executor_amp_event_hints_match_index():
-    """AMP's event-time hints (``find_amp_window_at``) round-trip through
-    the executor identically — the hint the multi-pass search carries is
-    the accepting event time, not the window start."""
-    for seed in range(20):
-        slots = make_random_slot_list(seed, count=30)
-        rng = random.Random(seed * 13 + 5)
-        request = make_random_request(rng)
-        index = SlotIndex(slots)
-        with ShardedSearchExecutor(slots, 4) as executor:
-            hint = float("-inf")
-            for _ in range(4):
-                reference = index.find_amp_window_at(request, start_hint=hint)
-                sharded = executor.find_amp_window_at(request, start_hint=hint)
-                assert (sharded is None) == (reference is None), f"seed={seed}"
-                if reference is None:
-                    break
-                assert _window_fingerprint(sharded[0]) == _window_fingerprint(
-                    reference[0]
-                ), f"divergence on seed={seed}"
-                assert sharded[1] == reference[1], f"event time, seed={seed}"
-                index.commit(reference[0])
-                executor.commit(sharded[0])
-                hint = reference[1]
-
-# --------------------------------------------------------------------- #
-# Column-path oracle: vectorized masks vs scalar fallback               #
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize(
-    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
-)
-def test_column_scalar_fallback_matches_vectorized(algorithm, monkeypatch):
-    """The numpy-less scalar kernel is a drop-in for the vectorized masks.
-
-    :mod:`repro.core.columns` builds survivor memos through numpy masks
-    when available and through the scalar :func:`static_survivor` kernel
-    otherwise; the indexed search must not care which one ran.  Disable
-    numpy for the module and require byte-identical multi-pass results —
-    this is the column-path analogue of the indexed-vs-naive suite above.
-    """
-    import repro.core.columns as columns_module
-
-    for seed in range(40):
-        # One instance, three runs: resource uids are minted per slot
-        # list, so all paths must scan the *same* objects to compare.
-        slots = make_random_slot_list(seed, count=40)
-        batch = make_random_batch(seed)
-        naive = find_alternatives(slots, batch, algorithm, use_index=False)
-        vectorized = find_alternatives(slots, batch, algorithm, use_index=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(columns_module, "_np", None)
-            scalar = find_alternatives(slots, batch, algorithm, use_index=True)
-        assert _search_fingerprint(scalar) == _search_fingerprint(vectorized), (
-            f"scalar fallback diverged from vectorized on seed={seed}"
-        )
-        assert _search_fingerprint(scalar) == _search_fingerprint(naive), (
-            f"scalar fallback diverged from naive reference on seed={seed}"
-        )
-
-
-def test_column_scalar_fallback_matches_serial_sharded(monkeypatch):
-    """Shard workers share the column kernels; the fallback must keep the
-    sharded merge byte-identical to the serial indexed path too."""
-    import repro.core.columns as columns_module
-
-    monkeypatch.setattr(columns_module, "_np", None)
-    for seed in range(10):
-        for algorithm in (SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP):
-            serial, sharded = _sharded_fingerprints(seed, algorithm, 3)
-            assert sharded == serial, (
-                f"divergence on seed={seed} algorithm={algorithm.value} (no numpy)"
-            )

@@ -216,87 +216,3 @@ def test_search_invariants(seed, algorithm):
     assert result.remaining_slots.is_sorted()
     assert result.remaining_slots.check_no_overlap()
 
-
-# --------------------------------------------------------------------- #
-# Sharded-search dispatch                                               #
-# --------------------------------------------------------------------- #
-
-
-class TestShardDispatch:
-    """Validation of the ``shards``/``shard_processes`` dispatch rules.
-
-    The regression pinned here: ``shards > 1`` with a *default*
-    ``use_index`` under enabled telemetry used to be able to fall
-    through to the serial instrumented reference path — a silent index
-    bypass that made the "sharded" run serial.  It must raise instead.
-    """
-
-    def _smoke(self, **kwargs):
-        slots = make_uniform_slots(4, length=100.0)
-        batch = _batch(ResourceRequest(2, 30.0), ResourceRequest(1, 20.0))
-        return find_alternatives(slots, batch, **kwargs)
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(InvalidRequestError, match="shards"):
-            self._smoke(shards=0)
-        with pytest.raises(InvalidRequestError, match="shards"):
-            self._smoke(shards=-3)
-
-    def test_shard_processes_without_sharding_rejected(self):
-        with pytest.raises(InvalidRequestError, match="shard_processes"):
-            self._smoke(shards=1, shard_processes=True)
-        with pytest.raises(InvalidRequestError, match="shard_processes"):
-            self._smoke(shard_processes=False)
-
-    def test_custom_finder_cannot_be_sharded(self):
-        def never_finds(slots, request):
-            return None
-
-        slots = make_uniform_slots(4)
-        with pytest.raises(InvalidRequestError, match="custom window finder"):
-            find_alternatives(
-                slots, _batch(ResourceRequest(1, 10.0)), never_finds, shards=2
-            )
-
-    def test_naive_scheme_cannot_be_sharded(self):
-        with pytest.raises(InvalidRequestError, match="use_index=False"):
-            self._smoke(use_index=False, shards=2)
-
-    def test_default_use_index_under_telemetry_rejected(self):
-        # The silent-bypass regression: under enabled telemetry a default
-        # use_index selects the serial instrumented reference path, so a
-        # sharded request must demand the explicit opt-in.
-        from repro.obs.telemetry import configure, get_telemetry, install
-
-        previous = get_telemetry()
-        configure()
-        try:
-            with pytest.raises(InvalidRequestError, match="use_index=True"):
-                self._smoke(shards=2)
-        finally:
-            install(previous)
-
-    def test_explicit_use_index_under_telemetry_runs_sharded(self):
-        from repro.obs.telemetry import configure, get_telemetry, install
-
-        serial = self._smoke(use_index=True)
-        previous = get_telemetry()
-        configure()
-        try:
-            sharded = self._smoke(shards=2, use_index=True)
-        finally:
-            install(previous)
-        assert sharded.counts_by_job() == serial.counts_by_job()
-        assert sharded.passes == serial.passes
-
-    def test_default_use_index_without_telemetry_runs_sharded(self):
-        serial = self._smoke(use_index=True)
-        sharded = self._smoke(shards=3)
-        assert sharded.counts_by_job() == serial.counts_by_job()
-        assert [
-            sorted(w.start for w in windows)
-            for windows in sharded.alternatives.values()
-        ] == [
-            sorted(w.start for w in windows)
-            for windows in serial.alternatives.values()
-        ]

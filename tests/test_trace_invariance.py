@@ -41,13 +41,8 @@ def _restore_telemetry():
     install(previous)
 
 
-def traced_run(tmp_path, workers: int, search_shards: int = 1):
-    config = ExperimentConfig(
-        objective=Criterion.TIME,
-        iterations=ITERATIONS,
-        seed=SEED,
-        search_shards=search_shards,
-    )
+def traced_run(tmp_path, workers: int):
+    config = ExperimentConfig(objective=Criterion.TIME, iterations=ITERATIONS, seed=SEED)
     tmp_path.mkdir(parents=True, exist_ok=True)
     base = tmp_path / f"run{workers}.jsonl"
     result = ParallelRunner(config, workers=workers).run(trace_base=base)
@@ -138,82 +133,37 @@ class TestCheckpointTracePropagation:
         assert "trace_context" not in snapshot
 
 
-class TestShardedSearchTraceInvariance:
-    """Partition-parallel search: same canonical trace as the serial path.
+class TestIndexedSearchTraceInvariance:
+    """The instrumented indexed search, reached by an explicit
+    ``use_index=True`` under enabled telemetry, finds what the untraced
+    indexed search finds and records a deterministic canonical trace."""
 
-    The sharded instrumented search emits exactly the serial indexed
-    surface (span attributes, counters, decision records — including the
-    summed per-shard ``hint_skips``) plus per-shard ``phase.seconds``
-    timings, which :func:`canonical_trace` strips along with every other
-    perf-counter metric.  So the canonical forms must compare equal for
-    any shard count and for either worker mode.
-    """
-
-    def _canonical_search_trace(
-        self, tmp_path, name, algorithm, *, shards=None, processes=None
-    ):
+    def _traced_search(self, tmp_path, name, slots, batch, algorithm):
         configure(context=TraceContext.derive(SEED))
-        slots = make_random_slot_list(7, count=40)
-        batch = make_random_batch(7)
-        find_alternatives(
-            slots,
-            batch,
-            algorithm,
-            use_index=True,
-            shards=shards,
-            shard_processes=processes,
-        )
+        result = find_alternatives(slots, batch, algorithm, use_index=True)
         path = tmp_path / f"{name}.jsonl"
         write_trace(str(path))
         disable()
-        return canonical_trace(read_trace(str(path)))
+        return result, read_trace(str(path))
 
     @pytest.mark.parametrize(
         "algorithm",
         [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP],
         ids=["alp", "amp"],
     )
-    def test_sharded_find_canonically_identical_to_serial(self, tmp_path, algorithm):
-        serial = self._canonical_search_trace(tmp_path, "serial", algorithm)
-        for shards in (2, 4):
-            sharded = self._canonical_search_trace(
-                tmp_path, f"sharded{shards}", algorithm, shards=shards
-            )
-            assert sharded == serial, f"canonical divergence at shards={shards}"
-
-    def test_process_mode_trace_identical_to_serial(self, tmp_path):
-        serial = self._canonical_search_trace(
-            tmp_path, "serial", SlotSearchAlgorithm.AMP
+    def test_traced_indexed_search_matches_untraced(self, tmp_path, algorithm):
+        slots = make_random_slot_list(7, count=40)
+        batch = make_random_batch(7)
+        untraced = find_alternatives(slots, batch, algorithm, use_index=True)
+        traced, first = self._traced_search(
+            tmp_path, "first", slots, batch, algorithm
         )
-        sharded = self._canonical_search_trace(
-            tmp_path, "procs", SlotSearchAlgorithm.AMP, shards=3, processes=True
-        )
-        assert sharded == serial
-
-    def test_sharded_experiment_matches_unsharded_run(self, tmp_path):
-        """End to end through the parallel engine: a traced experiment
-        with ``search_shards=2`` produces the same series output as the
-        unsharded run, and its merged decision stream stays
-        (iteration, seq)-ordered under the seed-derived trace id.
-
-        The merged *traces* are not compared here: a shards=1 traced run
-        instruments the naive reference pipeline (a deliberately
-        different surface — no ``indexed`` attribute, per-slot scan
-        counters), while the canonical equality of the sharded trace
-        against the serial *indexed* trace is pinned by the
-        find-level tests above.
-        """
-        plain_result, _ = traced_run(tmp_path / "plain", 2)
-        sharded_result, sharded_trace = traced_run(
-            tmp_path / "sharded", 2, search_shards=2
-        )
-        # Everything but the config (which records the shard count).
-        assert sharded_result.samples == plain_result.samples
-        assert sharded_result.attempted == plain_result.attempted
-        assert sharded_result.dropped_uncovered == plain_result.dropped_uncovered
-        assert sharded_result.dropped_infeasible == plain_result.dropped_infeasible
-        assert sharded_trace.meta.get("trace_id") == TraceContext.derive(SEED).trace_id
-        keys = [
-            (record["iteration"], record["seq"]) for record in sharded_trace.decisions
-        ]
-        assert keys and keys == sorted(keys)
+        _, second = self._traced_search(tmp_path, "second", slots, batch, algorithm)
+        assert untraced.total_alternatives > 0
+        assert traced.alternatives == untraced.alternatives
+        assert traced.passes == untraced.passes
+        assert traced.remaining_slots == untraced.remaining_slots
+        [span] = first.spans
+        assert span.name == "phase1.find_alternatives"
+        assert span.attributes["indexed"] is True
+        assert canonical_trace(first) == canonical_trace(second)
