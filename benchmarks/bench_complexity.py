@@ -15,6 +15,7 @@ assertion runs in a final summary test using the same measurements.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -26,9 +27,10 @@ import pytest
 from repro.baselines import backfill_find_window
 from repro.core import ResourceRequest
 from repro.core import alp, amp
-from repro.core import search as search_module
 from repro.core.optimize import DPMemo
+from repro.core.search import find_alternatives
 from repro.sim import ExperimentConfig, ParallelRunner, SlotGenerator, SlotGeneratorConfig, table
+from repro.sim import experiment as experiment_module
 
 from benchmarks.conftest import BENCH_SEED, BENCH_WORKERS, record_baseline, report
 
@@ -137,12 +139,13 @@ def test_growth_exponents(benchmark, capsys):
 def _timed_series(*, workers: int, use_index: bool, dp_memo=None):
     """Run the speedup workload once; returns (elapsed seconds, result).
 
-    ``use_index=False`` flips :data:`repro.core.search.DEFAULT_USE_INDEX`
-    for the duration — the escape hatch that restores the seed's naive
-    O(m)-rescan behaviour.  Only the in-process (workers=1) run may be
-    flipped: worker processes import the module fresh and would not see
-    the override.  ``dp_memo`` is the runner's explicit cross-run DP
-    memo (the global default memo is gone; sharing is opt-in).
+    ``use_index=False`` rebinds the experiment module's
+    ``find_alternatives`` to the ``use_index=False`` reference search for
+    the duration — the seed's naive O(m)-rescan behaviour.  Only the
+    in-process (workers=1) run may be rebound: worker processes import
+    the module fresh and would not see the override.  ``dp_memo`` is the
+    runner's explicit cross-run DP memo (the global default memo is
+    gone; sharing is opt-in).
     """
     assert use_index or workers == 1, "naive baseline must stay in-process"
     config = ExperimentConfig(
@@ -150,14 +153,17 @@ def _timed_series(*, workers: int, use_index: bool, dp_memo=None):
         seed=BENCH_SEED,
         slot_config=SlotGeneratorConfig(slot_count_range=SPEEDUP_SLOT_RANGE),
     )
-    previous = search_module.DEFAULT_USE_INDEX
-    search_module.DEFAULT_USE_INDEX = use_index
+    previous = experiment_module.find_alternatives
+    if not use_index:
+        experiment_module.find_alternatives = functools.partial(
+            find_alternatives, use_index=False
+        )
     try:
         started = time.perf_counter()
         result = ParallelRunner(config, workers=workers, dp_memo=dp_memo).run()
         elapsed = time.perf_counter() - started
     finally:
-        search_module.DEFAULT_USE_INDEX = previous
+        experiment_module.find_alternatives = previous
     return elapsed, result
 
 

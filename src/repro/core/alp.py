@@ -27,7 +27,6 @@ from repro.core.errors import InvalidRequestError, WindowNotFoundError
 from repro.core.job import ResourceRequest
 from repro.core.slot import Slot, SlotList
 from repro.core.window import TaskAllocation, Window
-from repro.obs.telemetry import Telemetry, get_telemetry
 
 __all__ = ["ForwardScan", "find_window", "require_window", "slot_is_suited"]
 
@@ -135,12 +134,6 @@ def find_window(slot_list: SlotList, request: ResourceRequest, *, check_price: b
         ``None`` when the scan runs out of slots first (the job is then
         postponed to the next scheduling iteration).
     """
-    telemetry = get_telemetry()
-    if telemetry.enabled:
-        return _find_window_instrumented(telemetry, slot_list, request, check_price)
-    # Disabled-telemetry fast path: the per-slot loop must stay exactly
-    # as cheap as the uninstrumented algorithm, so the single enabled
-    # check above is the only cost this function ever adds by default.
     scan = ForwardScan(request, check_price=check_price)
     for slot in slot_list:
         if not scan.offer(slot):
@@ -148,73 +141,6 @@ def find_window(slot_list: SlotList, request: ResourceRequest, *, check_price: b
         if scan.size == request.node_count:
             return scan.build_window()
     return None
-
-
-def _find_window_instrumented(
-    telemetry: Telemetry, slot_list: SlotList, request: ResourceRequest, check_price: bool
-) -> Window | None:
-    """The :func:`find_window` loop with scan accounting (telemetry on).
-
-    Counts are accumulated in locals and flushed to the registry once
-    per search, so even the instrumented loop adds only integer
-    arithmetic per slot.
-    """
-    scan = ForwardScan(request, check_price=check_price)
-    decisions = telemetry.decisions
-    record_decisions = decisions.enabled
-    scanned = 0
-    suited = 0
-    pruned_performance = 0
-    pruned_price = 0
-    pruned_length = 0
-    window: Window | None = None
-    for slot in slot_list:
-        scanned += 1
-        if not scan.offer(slot):
-            if record_decisions:
-                # Classify the prune reason in check order (2°a → 2°c →
-                # 2°b); only paid when decision logging is on.
-                if not request.admits_performance(slot.resource):
-                    pruned_performance += 1
-                elif check_price and not request.admits_price(slot):
-                    pruned_price += 1
-                else:
-                    pruned_length += 1
-            continue
-        suited += 1
-        if scan.size == request.node_count:
-            window = scan.build_window()
-            break
-    telemetry.count("search.slots_scanned", scanned, algo="alp")
-    telemetry.count("search.slots_suited", suited, algo="alp")
-    telemetry.observe("search.scan_depth", scanned, algo="alp")
-    if window is not None:
-        telemetry.count("search.windows_found", 1, algo="alp")
-    else:
-        telemetry.count("search.windows_missed", 1, algo="alp")
-    if record_decisions:
-        if window is not None:
-            decisions.emit(
-                "alp.window",
-                start=window.start,
-                length=window.length,
-                cost=window.cost,
-                scanned=scanned,
-                suited=suited,
-                pruned_price=pruned_price,
-                pruned_performance=pruned_performance,
-                pruned_length=pruned_length,
-            )
-        else:
-            decisions.emit(
-                "alp.no_window",
-                scanned=scanned,
-                suited=suited,
-                pruned_price=pruned_price,
-                pruned_performance=pruned_performance,
-                pruned_length=pruned_length,
-            )
-    return window
 
 
 def require_window(slot_list: SlotList, request: ResourceRequest, *, check_price: bool = True, job_name: str | None = None) -> Window:

@@ -33,7 +33,6 @@ from repro.core.errors import InvalidRequestError, WindowNotFoundError
 from repro.core.job import ResourceRequest
 from repro.core.slot import Slot, SlotList
 from repro.core.window import Window
-from repro.obs.telemetry import Telemetry, get_telemetry
 
 __all__ = ["find_window", "require_window", "cheapest_subset"]
 
@@ -87,10 +86,6 @@ def find_window(slot_list: SlotList, request: ResourceRequest, *, budget: float 
     """
     if budget is None:
         budget = request.budget
-    telemetry = get_telemetry()
-    if telemetry.enabled:
-        return _find_window_instrumented(telemetry, slot_list, request, budget)
-    # Disabled-telemetry fast path — see the note in repro.core.alp.
     scan = ForwardScan(request, check_price=False)
     for slot in slot_list:
         if not scan.offer(slot):
@@ -101,67 +96,6 @@ def find_window(slot_list: SlotList, request: ResourceRequest, *, budget: float 
         if total_cost <= budget:
             return scan.build_window(chosen)
     return None
-
-
-def _find_window_instrumented(
-    telemetry: Telemetry, slot_list: SlotList, request: ResourceRequest, budget: float
-) -> Window | None:
-    """The :func:`find_window` loop with scan accounting (telemetry on)."""
-    scan = ForwardScan(request, check_price=False)
-    decisions = telemetry.decisions
-    record_decisions = decisions.enabled
-    scanned = 0
-    budget_checks = 0
-    window: Window | None = None
-    for slot in slot_list:
-        scanned += 1
-        if not scan.offer(slot):
-            continue
-        if scan.size < request.node_count:
-            continue
-        budget_checks += 1
-        chosen, total_cost = cheapest_subset(scan.candidates, request)
-        if total_cost <= budget:
-            window = scan.build_window(chosen)
-            break
-        if record_decisions:
-            # A candidate window existed but its N cheapest slots still
-            # overran the budget S — the prune AMP is defined by.
-            decisions.emit(
-                "amp.budget_rejected",
-                start=scan.window_start,
-                cost=total_cost,
-                budget=budget,
-            )
-    telemetry.count("search.slots_scanned", scanned, algo="amp")
-    telemetry.observe("search.scan_depth", scanned, algo="amp")
-    telemetry.count("search.budget_checks", budget_checks, algo="amp")
-    if window is not None:
-        telemetry.count("search.windows_found", 1, algo="amp")
-        if budget_checks > 1:
-            telemetry.count("search.budget_rejections", budget_checks - 1, algo="amp")
-    else:
-        telemetry.count("search.windows_missed", 1, algo="amp")
-        telemetry.count("search.budget_rejections", budget_checks, algo="amp")
-    if record_decisions:
-        if window is not None:
-            decisions.emit(
-                "amp.window",
-                start=window.start,
-                length=window.length,
-                cost=window.cost,
-                budget=budget,
-                scanned=scanned,
-                budget_rejections=budget_checks - 1,
-            )
-        else:
-            decisions.emit(
-                "amp.no_window",
-                budget=budget,
-                scanned=scanned,
-                budget_rejections=budget_checks,
-            )
-    return window
 
 
 def require_window(slot_list: SlotList, request: ResourceRequest, *, budget: float | None = None, job_name: str | None = None) -> Window:

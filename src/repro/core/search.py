@@ -41,14 +41,6 @@ __all__ = [
     "WindowFinder",
 ]
 
-#: Default search path for :func:`find_alternatives` when ``use_index`` is
-#: not given.  The indexed path is window-for-window equivalent to the
-#: reference scan (``tests/test_reference_oracles.py``); flipping this to
-#: ``False`` restores the naive O(m)-rescan path everywhere — the escape
-#: hatch the benchmarks use to measure the speedup against the seed
-#: behaviour.
-DEFAULT_USE_INDEX = True
-
 #: Signature of a pluggable single-window search: takes the current slot
 #: list and a request, returns a window or ``None``.
 WindowFinder = Callable[[SlotList, ResourceRequest], "Window | None"]
@@ -163,7 +155,7 @@ def find_alternatives(
     rho: float = 1.0,
     max_passes: int | None = None,
     max_alternatives_per_job: int | None = None,
-    use_index: bool | None = None,
+    use_index: bool = True,
 ) -> SearchResult:
     """Find alternative windows for every job of ``batch``.
 
@@ -179,16 +171,15 @@ def find_alternatives(
             until a pass finds nothing (the paper's stopping rule).
         max_alternatives_per_job: Optional cap on alternatives collected
             per job; jobs at the cap are skipped in later passes.
-        use_index: Run the phase-1 scans through the shared
-            :class:`~repro.core.index.SlotIndex` (default: the module's
-            :data:`DEFAULT_USE_INDEX`).  The indexed path produces
-            bit-for-bit the same windows as the reference scan; it is
-            bypassed automatically for custom finder callables and — when
-            left at the default — for telemetry-instrumented runs, where
-            the per-slot scan counters of the reference path are part of
-            the contract.  An *explicit* ``use_index=True`` under enabled
-            telemetry runs the instrumented indexed scheme instead
-            (phase timers, start-hint prune accounting).
+        use_index: Run the phase-1 scans through a shared
+            :class:`~repro.core.index.SlotIndex` (the production path).
+            ``False`` runs the reference finders over a copied
+            :class:`SlotList` — the executable specification, which the
+            indexed path matches window for window.  A custom finder
+            callable always runs the reference path.  Telemetry never
+            picks the path: when it is on, the same search runs and is
+            observed (phase-1 span, phase timers, search counters and
+            decisions).
     """
     if max_passes is not None and max_passes < 1:
         raise InvalidRequestError(f"max_passes must be >= 1, got {max_passes!r}")
@@ -197,363 +188,252 @@ def find_alternatives(
             f"max_alternatives_per_job must be >= 1, got {max_alternatives_per_job!r}"
         )
     telemetry = get_telemetry()
-    if use_index is None:
-        use_index = DEFAULT_USE_INDEX
-        index_allowed = not telemetry.enabled
-    else:
-        index_allowed = True
-    if use_index and isinstance(algorithm, SlotSearchAlgorithm) and index_allowed:
-        if telemetry.enabled:
-            return _find_alternatives_indexed_instrumented(
-                telemetry,
-                slot_list,
-                batch,
-                algorithm,
-                rho=rho,
-                max_passes=max_passes,
-                max_alternatives_per_job=max_alternatives_per_job,
-            )
-        return _find_alternatives_indexed(
-            slot_list,
-            batch,
-            algorithm,
-            rho=rho,
-            max_passes=max_passes,
-            max_alternatives_per_job=max_alternatives_per_job,
+    if not telemetry.enabled:
+        searcher = _select_searcher(slot_list, batch, algorithm, rho, use_index)
+        return _multi_pass(searcher, batch, max_passes, max_alternatives_per_job, None)
+    algo = algorithm.value if isinstance(algorithm, SlotSearchAlgorithm) else "custom"
+    with telemetry.span("phase1.find_alternatives", algo=algo, jobs=len(batch)) as span:
+        searcher = _select_searcher(slot_list, batch, algorithm, rho, use_index)
+        span.annotate(indexed=searcher.indexed)
+        observer = _SearchObserver(telemetry, searcher)
+        result = _multi_pass(
+            searcher, batch, max_passes, max_alternatives_per_job, observer
         )
-    finder = (
-        algorithm.finder(rho=rho)
-        if isinstance(algorithm, SlotSearchAlgorithm)
-        else algorithm
-    )
-    algo_label = (
-        algorithm.value if isinstance(algorithm, SlotSearchAlgorithm) else "custom"
-    )
-    if telemetry.enabled:
-        return _find_alternatives_instrumented(
-            telemetry,
-            slot_list,
-            batch,
-            finder,
-            algo_label,
-            max_passes=max_passes,
-            max_alternatives_per_job=max_alternatives_per_job,
-        )
-    # Disabled-telemetry fast path: one enabled check per batch search is
-    # the only cost telemetry ever adds here.
-    working = slot_list.copy()
+        observer.flush(result, algo)
+    return result
+
+
+def _select_searcher(
+    slot_list: SlotList,
+    batch: Batch,
+    algorithm: SlotSearchAlgorithm | WindowFinder,
+    rho: float,
+    use_index: bool,
+) -> _ReferenceSearch | _IndexSearch:
+    """The search path the arguments select, chosen once per search."""
+    if not isinstance(algorithm, SlotSearchAlgorithm):
+        return _ReferenceSearch(slot_list, algorithm)
+    if use_index:
+        return _IndexSearch(slot_list, batch, algorithm, rho)
+    return _ReferenceSearch(slot_list, algorithm.finder(rho=rho))
+
+
+def _multi_pass(
+    searcher: _ReferenceSearch | _IndexSearch,
+    batch: Batch,
+    max_passes: int | None,
+    max_alternatives_per_job: int | None,
+    observer: _SearchObserver | None,
+) -> SearchResult:
+    """The multi-pass scheme of the module docstring, on either path.
+
+    ``observer`` is ``None`` with telemetry off; it is tested once per
+    job, never inside a scan.
+    """
     alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
+    exhausted = searcher.exhausted
     passes = 0
     while max_passes is None or passes < max_passes:
         passes += 1
         found_any = False
         for job in batch:
             windows = alternatives[job]
-            if (
+            if job in exhausted or (
                 max_alternatives_per_job is not None
                 and len(windows) >= max_alternatives_per_job
             ):
                 continue
-            window = finder(working, job.request)
+            if observer is None:
+                window = searcher.find(job)
+                if window is not None:
+                    searcher.commit(window)
+            else:
+                window = observer.find_and_commit(job, passes, len(windows) + 1)
             if window is None:
                 continue
-            for resource, start, end in window.occupied_spans():
-                working.subtract(resource, start, end)
             windows.append(window)
             found_any = True
         if not found_any:
             break
     return SearchResult(
-        alternatives=alternatives, remaining_slots=working, passes=passes
+        alternatives=alternatives, remaining_slots=searcher.remaining(), passes=passes
     )
 
 
-def _flush_batch_metrics(
-    telemetry: Telemetry, result: SearchResult, algo_label: str
-) -> None:
-    """Batch-level search counters shared by both instrumented paths."""
-    if not telemetry.enabled:
-        return
-    telemetry.count("search.batches", 1, algo=algo_label)
-    telemetry.count("search.passes", result.passes, algo=algo_label)
-    telemetry.count(
-        "search.windows_collected", result.total_alternatives, algo=algo_label
-    )
-    telemetry.count(
-        "search.jobs_uncovered",
-        len(result.jobs_without_alternatives()),
-        algo=algo_label,
-    )
-    for windows in result.alternatives.values():
-        telemetry.observe("search.alternatives_per_job", len(windows), algo=algo_label)
+class _ReferenceSearch:
+    """The executable specification: a :data:`WindowFinder` rescans a
+    working copy of the list, and every accepted window is cut out of it
+    with :meth:`SlotList.subtract`."""
+
+    indexed = False
+    scan_phase = "phase1.scan"
+
+    def __init__(self, slot_list: SlotList, finder: WindowFinder) -> None:
+        self.working = slot_list.copy()
+        self.finder = finder
+        #: Never filled: the reference path retries every job each pass.
+        self.exhausted: set[Job] = set()
+
+    def find(self, job: Job) -> Window | None:
+        return self.finder(self.working, job.request)
+
+    def commit(self, window: Window) -> None:
+        for resource, start, end in window.occupied_spans():
+            self.working.subtract(resource, start, end)
+
+    def hint_prunes(self, job: Job) -> dict[str, int]:
+        return {}
+
+    def remaining(self) -> SlotList:
+        return self.working
 
 
-def _find_alternatives_instrumented(
-    telemetry: Telemetry,
-    slot_list: SlotList,
-    batch: Batch,
-    finder: WindowFinder,
-    algo_label: str,
-    *,
-    max_passes: int | None,
-    max_alternatives_per_job: int | None,
-) -> SearchResult:
-    """The reference multi-pass loop with telemetry on.
+class _IndexSearch:
+    """The production search over one shared :class:`SlotIndex`.
 
-    Adds the phase-1 span, the per-phase wall timers (window scans vs
-    cross-job slot subtraction, flushed once per batch into
-    ``phase.seconds``), and — when decision logging is on — a ``job=``
-    scope around every finder call, so the ALP/AMP decision records
-    carry the job they were searching for, plus one
-    ``search.alternative_accepted`` record per committed window.
-    """
-    decisions = telemetry.decisions
-    record_decisions = decisions.enabled
-    scan_seconds = 0.0
-    subtract_seconds = 0.0
-    with telemetry.span("phase1.find_alternatives", algo=algo_label, jobs=len(batch)):
-        working = slot_list.copy()
-        alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-        passes = 0
-        while max_passes is None or passes < max_passes:
-            passes += 1
-            found_any = False
-            for job in batch:
-                windows = alternatives[job]
-                if (
-                    max_alternatives_per_job is not None
-                    and len(windows) >= max_alternatives_per_job
-                ):
-                    continue
-                if record_decisions:
-                    with decisions.scope(job=job.name):
-                        began = perf_counter()
-                        window = finder(working, job.request)
-                        scan_seconds += perf_counter() - began
-                else:
-                    began = perf_counter()
-                    window = finder(working, job.request)
-                    scan_seconds += perf_counter() - began
-                if window is None:
-                    continue
-                began = perf_counter()
-                for resource, start, end in window.occupied_spans():
-                    working.subtract(resource, start, end)
-                subtract_seconds += perf_counter() - began
-                windows.append(window)
-                found_any = True
-                if record_decisions:
-                    decisions.emit(
-                        "search.alternative_accepted",
-                        job=job.name,
-                        alternative=len(windows),
-                        search_pass=passes,
-                        start=window.start,
-                        cost=window.cost,
-                    )
-            if not found_any:
-                break
-        result = SearchResult(
-            alternatives=alternatives, remaining_slots=working, passes=passes
-        )
-        _flush_batch_metrics(telemetry, result, algo_label)
-        telemetry.observe("phase.seconds", scan_seconds, phase="phase1.scan")
-        telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
-        return result
-
-
-def _find_alternatives_indexed(
-    slot_list: SlotList,
-    batch: Batch,
-    algorithm: SlotSearchAlgorithm,
-    *,
-    rho: float,
-    max_passes: int | None,
-    max_alternatives_per_job: int | None,
-) -> SearchResult:
-    """The multi-pass scheme over a shared :class:`SlotIndex`.
-
-    Window-for-window equivalent to the reference loop in
-    :func:`find_alternatives`: the index replays the same scans over
-    primitive rows, subtraction is incremental, and per-job ``start_hint``
-    values exploit the monotonicity of window starts across passes (slot
+    Window-for-window equivalent to :class:`_ReferenceSearch`: the index
+    replays the same scans over primitive rows, subtraction is
+    incremental (:meth:`SlotIndex.commit`), and per-job start hints
+    exploit the monotonicity of window starts across passes (slot
     subtraction only removes vacant time, so a job's next window can
     never start before its previous one).
     """
-    index = SlotIndex(slot_list)
-    is_amp = algorithm is SlotSearchAlgorithm.AMP
-    budgets = (
-        {job: job.request.scaled_budget(rho) for job in batch} if is_amp else {}
-    )
-    hints: dict[Job, float] = {job: NEG_INF for job in batch}
-    alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-    # ALP-only: once a job's search comes back empty it stays empty for
-    # the rest of this batch search — later passes only *subtract* vacant
-    # time, and an ALP window over fragments maps candidate-for-candidate
-    # onto the containing rows of any earlier state, so a window
-    # appearing later would have been found now.  AMP is excluded: its
-    # budget test fires only at row-start events >= the hint, and
-    # subtraction mints new row starts (fragment boundaries), so an AMP
-    # failure is not stable under further subtraction.
-    exhausted: set[Job] = set()
-    passes = 0
-    while max_passes is None or passes < max_passes:
-        passes += 1
-        found_any = False
-        for job in batch:
-            if job in exhausted:
-                continue
-            windows = alternatives[job]
-            if (
-                max_alternatives_per_job is not None
-                and len(windows) >= max_alternatives_per_job
-            ):
-                continue
-            if is_amp:
-                found = index.find_amp_window_at(
-                    job.request, budget=budgets[job], start_hint=hints[job]
-                )
-                if found is None:
-                    continue
-                window, event_time = found
+
+    indexed = True
+    scan_phase = "phase1.index_scan"
+
+    def __init__(
+        self,
+        slot_list: SlotList,
+        batch: Batch,
+        algorithm: SlotSearchAlgorithm,
+        rho: float,
+    ) -> None:
+        self.index = SlotIndex(slot_list)
+        self.is_amp = algorithm is SlotSearchAlgorithm.AMP
+        self.budgets = (
+            {job: job.request.scaled_budget(rho) for job in batch} if self.is_amp else {}
+        )
+        self.hints: dict[Job, float] = {job: NEG_INF for job in batch}
+        # ALP-only: once a job's search comes back empty it stays empty for
+        # the rest of this batch search — later passes only *subtract*
+        # vacant time, and an ALP window over fragments maps
+        # candidate-for-candidate onto the containing rows of any earlier
+        # state, so a window appearing later would have been found now.
+        # AMP is excluded: its budget test fires only at row-start events
+        # >= the hint, and subtraction mints new row starts (fragment
+        # boundaries), so an AMP failure is not stable under further
+        # subtraction.
+        self.exhausted: set[Job] = set()
+
+    def find(self, job: Job) -> Window | None:
+        """The job's next window; advances its start hint on success."""
+        if not self.is_amp:
+            window = self.index.find_alp_window(job.request, start_hint=self.hints[job])
+            if window is None:
+                self.exhausted.add(job)
             else:
-                window = index.find_alp_window(job.request, start_hint=hints[job])
-                if window is None:
-                    exhausted.add(job)
-                    continue
-                event_time = window.start
-            index.commit(window)
-            hints[job] = event_time
-            windows.append(window)
-            found_any = True
-        if not found_any:
-            break
-    return SearchResult(
-        alternatives=alternatives, remaining_slots=index.live_rows(), passes=passes
-    )
+                self.hints[job] = window.start
+            return window
+        found = self.index.find_amp_window_at(
+            job.request, budget=self.budgets[job], start_hint=self.hints[job]
+        )
+        if found is None:
+            return None
+        window, self.hints[job] = found
+        return window
+
+    def commit(self, window: Window) -> None:
+        self.index.commit(window)
+
+    def hint_prunes(self, job: Job) -> dict[str, int]:
+        """Rows both start-hint prune tiers skip in the job's next scan.
+
+        An extra ``O(m)`` count, paid only under decision logging.
+        """
+        skipped, runtime_skipped = self.index.hint_prunes(
+            job.request, start_hint=self.hints[job], check_price=not self.is_amp
+        )
+        return {"hint_skips": skipped, "hint_runtime_skips": runtime_skipped}
+
+    def remaining(self) -> LiveRows:
+        return self.index.live_rows()
 
 
-def _find_alternatives_indexed_instrumented(
-    telemetry: Telemetry,
-    slot_list: SlotList,
-    batch: Batch,
-    algorithm: SlotSearchAlgorithm,
-    *,
-    rho: float,
-    max_passes: int | None,
-    max_alternatives_per_job: int | None,
-) -> SearchResult:
-    """The indexed multi-pass scheme with telemetry on.
+class _SearchObserver:
+    """Records one phase-1 search; bound only while telemetry is on.
 
-    Only reached by an *explicit* ``use_index=True`` under enabled
-    telemetry.  Window-for-window equivalent to
-    :func:`_find_alternatives_indexed` — the timers and counters live
-    outside the finders — while attributing wall time to the index scan
-    and the incremental subtraction, and, when decision logging is on,
-    recording both monotone start-hint prune tiers per search (the extra
-    ``O(m)`` :meth:`~repro.core.index.SlotIndex.hint_prunes` count is
-    only paid under decision logging, never on the hot path).
+    Times each finder call (``phase1.scan`` or ``phase1.index_scan``)
+    and each commit (``phase1.subtract``), counts empty finder calls and,
+    on the index path, both start-hint prune tiers.  With decision
+    logging on it emits one ``search.alternative_accepted`` or
+    ``search.no_window`` record per finder call.
     """
-    decisions = telemetry.decisions
-    record_decisions = decisions.enabled
-    scan_seconds = 0.0
-    subtract_seconds = 0.0
-    hint_skips = 0
-    runtime_skips = 0
-    with telemetry.span(
-        "phase1.find_alternatives",
-        algo=algorithm.value,
-        jobs=len(batch),
-        indexed=True,
-    ):
-        index = SlotIndex(slot_list)
-        is_amp = algorithm is SlotSearchAlgorithm.AMP
-        budgets = (
-            {job: job.request.scaled_budget(rho) for job in batch} if is_amp else {}
-        )
-        hints: dict[Job, float] = {job: NEG_INF for job in batch}
-        alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-        # Same ALP-only exhausted-job rule as _find_alternatives_indexed
-        # (see the comment there).
-        exhausted: set[Job] = set()
-        passes = 0
-        while max_passes is None or passes < max_passes:
-            passes += 1
-            found_any = False
-            for job in batch:
-                if job in exhausted:
-                    continue
-                windows = alternatives[job]
-                if (
-                    max_alternatives_per_job is not None
-                    and len(windows) >= max_alternatives_per_job
-                ):
-                    continue
-                if record_decisions:
-                    skipped, runtime_skipped = index.hint_prunes(
-                        job.request,
-                        start_hint=hints[job],
-                        check_price=not is_amp,
-                    )
-                    hint_skips += skipped
-                    runtime_skips += runtime_skipped
-                else:
-                    skipped = 0
-                    runtime_skipped = 0
-                began = perf_counter()
-                if is_amp:
-                    found = index.find_amp_window_at(
-                        job.request, budget=budgets[job], start_hint=hints[job]
-                    )
-                else:
-                    alp_window = index.find_alp_window(
-                        job.request, start_hint=hints[job]
-                    )
-                    found = (
-                        None if alp_window is None else (alp_window, alp_window.start)
-                    )
-                scan_seconds += perf_counter() - began
-                if found is None:
-                    if not is_amp:
-                        exhausted.add(job)
-                    if record_decisions:
-                        decisions.emit(
-                            "index.no_window",
-                            job=job.name,
-                            search_pass=passes,
-                            hint_skips=skipped,
-                            hint_runtime_skips=runtime_skipped,
-                        )
-                    continue
-                window, event_time = found
-                began = perf_counter()
-                index.commit(window)
-                subtract_seconds += perf_counter() - began
-                hints[job] = event_time
-                windows.append(window)
-                found_any = True
-                if record_decisions:
-                    decisions.emit(
-                        "search.alternative_accepted",
-                        job=job.name,
-                        alternative=len(windows),
-                        search_pass=passes,
-                        start=window.start,
-                        cost=window.cost,
-                        hint_skips=skipped,
-                        hint_runtime_skips=runtime_skipped,
-                    )
-            if not found_any:
-                break
-        result = SearchResult(
-            alternatives=alternatives, remaining_slots=index.live_rows(), passes=passes
-        )
-        _flush_batch_metrics(telemetry, result, algorithm.value)
-        telemetry.count("search.hint_skips", hint_skips, algo=algorithm.value)
-        telemetry.count(
-            "search.hint_runtime_skips", runtime_skips, algo=algorithm.value
-        )
-        telemetry.observe("phase.seconds", scan_seconds, phase="phase1.index_scan")
-        telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
-        return result
 
+    def __init__(
+        self, telemetry: Telemetry, searcher: _ReferenceSearch | _IndexSearch
+    ) -> None:
+        self.telemetry = telemetry
+        self.searcher = searcher
+        self.scan_seconds = 0.0
+        self.subtract_seconds = 0.0
+        self.misses = 0
+        self.prunes: dict[str, int] = (
+            {"hint_skips": 0, "hint_runtime_skips": 0} if searcher.indexed else {}
+        )
+
+    def find_and_commit(
+        self, job: Job, search_pass: int, alternative: int
+    ) -> Window | None:
+        """The loop's find-then-commit step for ``job``, observed."""
+        searcher = self.searcher
+        decisions = self.telemetry.decisions
+        record_decisions = decisions.enabled
+        prunes = searcher.hint_prunes(job) if record_decisions else {}
+        for key, value in prunes.items():
+            self.prunes[key] += value
+        began = perf_counter()
+        window = searcher.find(job)
+        self.scan_seconds += perf_counter() - began
+        if window is None:
+            self.misses += 1
+            if record_decisions:
+                decisions.emit(
+                    "search.no_window", job=job.name, search_pass=search_pass, **prunes
+                )
+            return None
+        began = perf_counter()
+        searcher.commit(window)
+        self.subtract_seconds += perf_counter() - began
+        if record_decisions:
+            decisions.emit(
+                "search.alternative_accepted",
+                job=job.name,
+                alternative=alternative,
+                search_pass=search_pass,
+                start=window.start,
+                cost=window.cost,
+                **prunes,
+            )
+        return window
+
+    def flush(self, result: SearchResult, algo: str) -> None:
+        """Batch-level counters and phase timers, once per search."""
+        if not self.telemetry.enabled:  # the RPR006 guard; always on here
+            return
+        telemetry = self.telemetry
+        telemetry.count("search.batches", 1, algo=algo)
+        telemetry.count("search.passes", result.passes, algo=algo)
+        telemetry.count("search.windows_collected", result.total_alternatives, algo=algo)
+        telemetry.count("search.windows_missed", self.misses, algo=algo)
+        telemetry.count(
+            "search.jobs_uncovered", len(result.jobs_without_alternatives()), algo=algo
+        )
+        for windows in result.alternatives.values():
+            telemetry.observe("search.alternatives_per_job", len(windows), algo=algo)
+        for key, total in self.prunes.items():
+            telemetry.count(f"search.{key}", total, algo=algo)
+        telemetry.observe(
+            "phase.seconds", self.scan_seconds, phase=self.searcher.scan_phase
+        )
+        telemetry.observe("phase.seconds", self.subtract_seconds, phase="phase1.subtract")

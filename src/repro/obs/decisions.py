@@ -1,9 +1,9 @@
 """Decision records: why the scheduler accepted, pruned, or degraded.
 
-The metric registry answers *how much* (slots scanned, windows found);
-decision records answer *why*: which candidate windows a job's search
-considered, why each was pruned (price cap, budget, occupancy,
-start-hint skip), which alternative the phase-2 DP chose, and when the
+The metric registry answers *how much* (windows collected, DP cells);
+decision records answer *why*: which window each of a job's searches
+accepted or that it found none, in which pass, how many rows the start
+hints skipped, which alternative the phase-2 DP chose, and when the
 optimizer stepped its resolution down or fell back to the greedy
 selection.  ``repro explain --job J`` replays the decision path for one
 job from a recorded trace.

@@ -4,13 +4,13 @@ The scheduler's observability layer (ISSUE: "make the two-phase pipeline
 measurable") needs exactly three instrument kinds:
 
 * :class:`Counter` — monotonically increasing totals, e.g.
-  ``search.slots_scanned`` or ``meta.postponements``;
+  ``search.windows_collected`` or ``meta.postponements``;
 * :class:`Gauge` — last-written values, e.g. ``meta.backlog``;
 * :class:`Histogram` — value distributions with fixed bucket boundaries,
   e.g. ``search.alternatives_per_job`` or span durations.
 
 Instruments live in a :class:`MetricRegistry`, keyed by metric name plus
-an optional label set (``search.windows_found{algo=amp}``).  The module
+an optional label set (``search.windows_collected{algo=amp}``).  The module
 is dependency-free (standard library only) so the hot algorithm modules
 can import it without any risk of circular imports, and instrument
 updates are plain attribute arithmetic — no locks, no allocation beyond

@@ -7,7 +7,7 @@ fsyncs, checkpoint snapshots (see ``docs/observability.md`` for the full
 phase list).  This module aggregates a recorded (or merged) trace into
 the ``repro profile`` report: per-phase call counts, cumulative time,
 and the share of the total attributed time, plus the work counters
-(DP cells touched, slots scanned, journal appends) that put the timings
+(DP cells touched, windows collected, journal appends) that put the timings
 in units of algorithmic work.
 
 Falls back to span aggregates when a trace predates the phase timers,

@@ -5,10 +5,9 @@ Design constraints (see ``docs/observability.md``):
 * **Disabled by default, free when disabled.**  Every recording method
   starts with a single ``self.enabled`` check; ``span`` returns the
   shared :data:`~repro.obs.spans.NOOP_SPAN` singleton, so disabled call
-  sites allocate nothing.  The truly hot per-slot loops in
-  :mod:`repro.core.alp` / :mod:`repro.core.amp` go further and branch to
-  an uninstrumented copy of the loop, so they pay exactly one boolean
-  check per *search*, not per slot.
+  sites allocate nothing.  The phase-1 search goes further: it reads
+  ``enabled`` once per search and binds an observer only when it is on,
+  so the per-slot scans never see telemetry at all.
 * **Stdlib only.**  This module is imported by the core algorithm
   modules, so it must never import back into :mod:`repro.core` or
   :mod:`repro.sim`.

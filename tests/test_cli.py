@@ -164,10 +164,12 @@ class TestTelemetryOptions:
         assert main(["experiment", "--iterations", "8", "--seed", "5", "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "telemetry summary" in out
-        assert "search.slots_scanned{algo=alp}" in out
-        assert "search.slots_scanned{algo=amp}" in out
-        assert "search.windows_found{algo=alp}" in out
-        assert "search.windows_found{algo=amp}" in out
+        assert "search.windows_collected{algo=alp}" in out
+        assert "search.windows_collected{algo=amp}" in out
+        assert "search.batches{algo=alp}" in out
+        assert "search.batches{algo=amp}" in out
+        assert "phase1.index_scan" in out
+        assert "phase1.scan" not in out
         assert "dp.table_cells" in out
 
     def test_trace_writes_parseable_jsonl(self, capsys, tmp_path):
@@ -197,7 +199,7 @@ class TestTelemetryOptions:
         assert main(["stats", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "counters and gauges" in out
-        assert "search.slots_scanned" in out
+        assert "search.windows_collected" in out
         assert "cli.example" in out
 
     def test_stats_missing_file_exits_nonzero(self, capsys):
@@ -285,7 +287,7 @@ class TestDecisionCommands:
         assert main(["stats", "--merge"] + shards) == 0
         out = capsys.readouterr().out
         assert "counters and gauges" in out
-        assert "search.slots_scanned" in out
+        assert "search.windows_collected" in out
 
     def test_stats_multiple_files_implies_merge(self, capsys, shards):
         assert main(["stats"] + shards) == 0
@@ -312,7 +314,7 @@ class TestDecisionCommands:
         assert main(["explain"] + shards + ["--job", "b1-j0"]) == 0
         out = capsys.readouterr().out
         assert "b1-j0" in out
-        assert "alp.window" in out
+        assert "search.alternative_accepted" in out
         assert "records" in out
 
     def test_explain_iteration_filter_narrows_output(self, capsys, shards):
@@ -331,7 +333,8 @@ class TestDecisionCommands:
     def test_profile_renders_phase_shares(self, capsys, shards):
         assert main(["profile", "--merge"] + shards) == 0
         out = capsys.readouterr().out
-        assert "phase1.scan" in out
+        assert "phase1.index_scan" in out
+        assert "phase1.scan" not in out
         assert "%" in out
 
 

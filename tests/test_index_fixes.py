@@ -177,7 +177,7 @@ class TestDecisionRecordFields:
         records = [
             record
             for record in telemetry.decisions.records
-            if record["op"] in ("search.alternative_accepted", "index.no_window")
+            if record["op"] in ("search.alternative_accepted", "search.no_window")
         ]
         assert records, "instrumented search emitted no decision records"
         for record in records:

@@ -134,36 +134,54 @@ class TestCheckpointTracePropagation:
 
 
 class TestIndexedSearchTraceInvariance:
-    """The instrumented indexed search, reached by an explicit
-    ``use_index=True`` under enabled telemetry, finds what the untraced
-    indexed search finds and records a deterministic canonical trace."""
+    """Telemetry never picks the search path: a traced search runs the
+    path its arguments select, finds what the untraced search finds, and
+    records a deterministic canonical trace of that path."""
 
-    def _traced_search(self, tmp_path, name, slots, batch, algorithm):
+    def _traced_search(self, tmp_path, name, slots, batch, algorithm, options):
         configure(context=TraceContext.derive(SEED))
-        result = find_alternatives(slots, batch, algorithm, use_index=True)
+        result = find_alternatives(slots, batch, algorithm, **options)
         path = tmp_path / f"{name}.jsonl"
         write_trace(str(path))
         disable()
         return result, read_trace(str(path))
 
     @pytest.mark.parametrize(
+        "options",
+        [{}, {"use_index": True}, {"use_index": False}],
+        ids=["default", "index", "reference"],
+    )
+    @pytest.mark.parametrize(
         "algorithm",
         [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP],
         ids=["alp", "amp"],
     )
-    def test_traced_indexed_search_matches_untraced(self, tmp_path, algorithm):
+    def test_traced_indexed_search_matches_untraced(
+        self, tmp_path, algorithm, options
+    ):
         slots = make_random_slot_list(7, count=40)
         batch = make_random_batch(7)
-        untraced = find_alternatives(slots, batch, algorithm, use_index=True)
+        indexed = options.get("use_index", True)
+        untraced = find_alternatives(slots, batch, algorithm, **options)
         traced, first = self._traced_search(
-            tmp_path, "first", slots, batch, algorithm
+            tmp_path, "first", slots, batch, algorithm, options
         )
-        _, second = self._traced_search(tmp_path, "second", slots, batch, algorithm)
+        _, second = self._traced_search(
+            tmp_path, "second", slots, batch, algorithm, options
+        )
         assert untraced.total_alternatives > 0
         assert traced.alternatives == untraced.alternatives
         assert traced.passes == untraced.passes
         assert traced.remaining_slots == untraced.remaining_slots
         [span] = first.spans
         assert span.name == "phase1.find_alternatives"
-        assert span.attributes["indexed"] is True
+        assert span.attributes["indexed"] is indexed
+        scan_phases = sorted(
+            str(metric["name"])
+            for metric in first.metrics
+            if str(metric["name"]).startswith("phase.seconds{phase=phase1.")
+            and "subtract" not in str(metric["name"])
+        )
+        expected = "phase1.index_scan" if indexed else "phase1.scan"
+        assert scan_phases == [f"phase.seconds{{phase={expected}}}"]
         assert canonical_trace(first) == canonical_trace(second)
