@@ -27,7 +27,6 @@ import pytest
 from repro.baselines import backfill_find_window
 from repro.core import ResourceRequest
 from repro.core import alp, amp
-from repro.core.optimize import DPMemo
 from repro.core.search import find_alternatives
 from repro.sim import ExperimentConfig, ParallelRunner, SlotGenerator, SlotGeneratorConfig, table
 from repro.sim import experiment as experiment_module
@@ -132,20 +131,19 @@ def test_growth_exponents(benchmark, capsys):
 
 
 # --------------------------------------------------------------------- #
-# EXP-SPEEDUP — indexed search + parallel engine vs the seed serial path #
+# EXP-SPEEDUP — indexed search + parallel engine vs the reference path   #
 # --------------------------------------------------------------------- #
 
 
-def _timed_series(*, workers: int, use_index: bool, dp_memo=None):
+def _timed_series(*, workers: int, use_index: bool):
     """Run the speedup workload once; returns (elapsed seconds, result).
 
     ``use_index=False`` rebinds the experiment module's
     ``find_alternatives`` to the ``use_index=False`` reference search for
-    the duration — the seed's naive O(m)-rescan behaviour.  Only the
+    the duration — the naive O(m)-rescan behaviour.  Only the
     in-process (workers=1) run may be rebound: worker processes import
-    the module fresh and would not see the override.  ``dp_memo`` is the
-    runner's explicit cross-run DP memo (the global default memo is
-    gone; sharing is opt-in).
+    the module fresh and would not see the override.  Every run is cold:
+    phase 2 keeps nothing between iterations or repeats.
     """
     assert use_index or workers == 1, "naive baseline must stay in-process"
     config = ExperimentConfig(
@@ -160,14 +158,14 @@ def _timed_series(*, workers: int, use_index: bool, dp_memo=None):
         )
     try:
         started = time.perf_counter()
-        result = ParallelRunner(config, workers=workers, dp_memo=dp_memo).run()
+        result = ParallelRunner(config, workers=workers).run()
         elapsed = time.perf_counter() - started
     finally:
         experiment_module.find_alternatives = previous
     return elapsed, result
 
 
-def _best_series(*, workers: int, use_index: bool, dp_memo=None):
+def _best_series(*, workers: int, use_index: bool):
     """Best-of-:data:`SPEEDUP_REPEATS` wall time for one configuration.
 
     Every repeat must produce the byte-identical series (the engine is
@@ -177,9 +175,7 @@ def _best_series(*, workers: int, use_index: bool, dp_memo=None):
     best = math.inf
     result = None
     for _ in range(SPEEDUP_REPEATS):
-        elapsed, current = _timed_series(
-            workers=workers, use_index=use_index, dp_memo=dp_memo
-        )
+        elapsed, current = _timed_series(workers=workers, use_index=use_index)
         if result is None:
             result = current
         else:
@@ -211,25 +207,12 @@ def _series_document(result) -> str:
 def test_experiment_workload_speedup(capsys):
     """The ISSUE-2 acceptance workload: a 25k-iteration-style experiment
     series must run ≥ 3× faster with the indexed search plus the
-    parallel engine than on the seed's serial naive-rescan path — while
-    producing byte-identical samples.  Each configuration is timed
-    best-of-:data:`SPEEDUP_REPEATS` (see the constant's rationale)."""
-    # One explicit memo shared across the serial timed runs — the same
-    # cross-run reuse the retired process-global memo used to provide,
-    # now visible and opt-in (worker runs build their own span-local
-    # memos; the parent process does no DP there).
-    serial_memo = DPMemo()
-    naive_elapsed, naive_result = _best_series(
-        workers=1, use_index=False, dp_memo=serial_memo
-    )
-    memo_before = serial_memo.stats()
-    indexed_elapsed, indexed_result = _best_series(
-        workers=1, use_index=True, dp_memo=serial_memo
-    )
-    memo_after = serial_memo.stats()
-    # Cross-cycle DP memo traffic of the indexed repeats.
-    dp_memo_hits = memo_after["hits"] - memo_before["hits"]
-    dp_memo_misses = memo_after["misses"] - memo_before["misses"]
+    parallel engine than on the serial ``use_index=False`` reference
+    path — while producing byte-identical samples.  Each configuration
+    is timed best-of-:data:`SPEEDUP_REPEATS` (see the constant's
+    rationale)."""
+    naive_elapsed, naive_result = _best_series(workers=1, use_index=False)
+    indexed_elapsed, indexed_result = _best_series(workers=1, use_index=True)
     parallel_elapsed, parallel_result = _best_series(
         workers=BENCH_WORKERS, use_index=True
     )
@@ -242,7 +225,7 @@ def test_experiment_workload_speedup(capsys):
     index_speedup = naive_elapsed / indexed_elapsed
     combined_speedup = naive_elapsed / parallel_elapsed
     rows = [
-        ["seed serial (naive rescan)", f"{naive_elapsed:.2f}", "1.00"],
+        ["reference (use_index=False)", f"{naive_elapsed:.2f}", "1.00"],
         ["indexed, 1 worker", f"{indexed_elapsed:.2f}", f"{index_speedup:.2f}"],
         [
             f"indexed, {BENCH_WORKERS} workers",
@@ -258,11 +241,6 @@ def test_experiment_workload_speedup(capsys):
         f"best of {SPEEDUP_REPEATS}",
     )
     report(capsys, table(rows, header=["configuration", "seconds", "speedup"]))
-    report(
-        capsys,
-        f"DP memo (indexed serial repeats): {dp_memo_hits} hits / "
-        f"{dp_memo_misses} misses",
-    )
 
     record_baseline(
         "complexity",
@@ -272,17 +250,15 @@ def test_experiment_workload_speedup(capsys):
             "slot_count_range": list(SPEEDUP_SLOT_RANGE),
             "workers": BENCH_WORKERS,
             "repeats": SPEEDUP_REPEATS,
-            "seed_serial_seconds": round(naive_elapsed, 3),
+            "reference_seconds": round(naive_elapsed, 3),
             "indexed_serial_seconds": round(indexed_elapsed, 3),
             "indexed_parallel_seconds": round(parallel_elapsed, 3),
             "index_speedup": round(index_speedup, 2),
             "combined_speedup": round(combined_speedup, 2),
-            "dp_memo_hits": dp_memo_hits,
-            "dp_memo_misses": dp_memo_misses,
         },
     )
 
     assert combined_speedup >= 3.0, (
-        f"indexed + {BENCH_WORKERS}-worker path must be >= 3x the seed serial "
+        f"indexed + {BENCH_WORKERS}-worker path must be >= 3x the reference "
         f"path, got {combined_speedup:.2f}x"
     )

@@ -60,7 +60,7 @@ from repro.grid.checkpoint import (
 )
 from repro.obs.telemetry import get_telemetry
 from repro.sim.checkpoint import ExperimentCheckpoint
-from repro.sim.experiment import ExperimentConfig, ExperimentRunner, ParallelRunner
+from repro.sim.experiment import ExperimentConfig, ParallelRunner
 
 __all__ = [
     "CAMPAIGN_NAMES",
@@ -314,18 +314,18 @@ def sweep_experiment_resume(
 ) -> CampaignResult:
     """Crash a checkpointed series at every outcome record; verify resume.
 
-    Serial sweep: every outcome record of an
-    :class:`~repro.sim.experiment.ExperimentRunner` run is crashed at
+    Inline sweep: every outcome record of a one-worker
+    :class:`~repro.sim.experiment.ParallelRunner` run is crashed at
     (full and torn), then the series is resumed from the checkpoint path
     and must merge to the uninterrupted result.  A second, sampled pass
-    does the same through :class:`~repro.sim.experiment.ParallelRunner`
-    (two workers), exercising the checkpointed parallel path.
+    does the same with two workers, exercising the checkpointed pool
+    path.
     """
     base = Path(base_dir)
     base.mkdir(parents=True, exist_ok=True)
     config = ExperimentConfig(iterations=iterations, seed=seed)
     result = CampaignResult(name="experiment")
-    serial_reference = ExperimentRunner(config).run()
+    serial_reference = ParallelRunner(config).run()
     for mode in modes:
         for record in range(1, iterations + 1):
             result.runs += 1
@@ -339,7 +339,7 @@ def sweep_experiment_resume(
             )
             crashed = False
             try:
-                ExperimentRunner(config).run(checkpoint=store)
+                ParallelRunner(config).run(checkpoint=store)
             except SimulatedCrash:
                 crashed = True
             result.injected += len(plan.injected)
@@ -348,7 +348,7 @@ def sweep_experiment_resume(
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                resumed = ExperimentRunner(config).run(
+                resumed = ParallelRunner(config).run(
                     checkpoint=str(path), resume=True
                 )
             if resumed != serial_reference:
@@ -522,19 +522,19 @@ def _io_campaign(base_dir: str | Path, seed: int) -> CampaignResult:
     # lost iteration.
     result.runs += 1
     config = ExperimentConfig(iterations=4, seed=seed)
-    reference = ExperimentRunner(config).run()
+    reference = ParallelRunner(config).run()
     path = base / "io-sim-enospc.jsonl"
     plan = FaultPlan((FaultPoint("write", "enospc", index=3, path=path.name),))
     store = ExperimentCheckpoint(path, config, resume=False, fs=ChaosFilesystem(plan))
     try:
-        ExperimentRunner(config).run(checkpoint=store)
+        ParallelRunner(config).run(checkpoint=store)
         result.failures.append("sim-enospc: fault never fired")
     except PersistenceError:
         if not store._writer.poisoned:
             result.failures.append(
                 "sim-enospc: checkpoint writer did not fail-closed"
             )
-        resumed = ExperimentRunner(config).run(checkpoint=str(path), resume=True)
+        resumed = ParallelRunner(config).run(checkpoint=str(path), resume=True)
         if resumed != reference:
             result.failures.append(
                 "sim-enospc: resumed result diverges from the uninterrupted run"

@@ -26,12 +26,12 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.errors import InvalidRequestError
 
 if TYPE_CHECKING:
-    from repro.sim.experiment import ExperimentConfig, ExperimentResult
+    from repro.sim.experiment import ExperimentConfig, IterationOutcome
 
 __all__ = [
     "CrashOnceSpanTask",
@@ -100,18 +100,18 @@ class WorkerSupervisor:
 class CrashOnceSpanTask:
     """Span task that ``SIGKILL``s its own pool worker exactly once.
 
-    A drop-in for :func:`repro.sim.experiment._run_span` (the
+    A drop-in for :func:`repro.sim.experiment._run_shard` (the
     ``span_task`` seam of :class:`~repro.sim.experiment.ParallelRunner`):
-    the first worker whose span contains ``victim_index`` creates the
+    the first worker whose shard contains ``victim_index`` creates the
     sentinel file and kills itself — breaking the whole
     ``concurrent.futures`` pool, exactly like a real OOM-kill — and
-    every later attempt, which sees the sentinel, computes the span
+    every later attempt, which sees the sentinel, computes the shard
     normally.  Instances are pickled into the worker, so all state must
     be immutable values.
 
     Attributes:
         sentinel: Path used to remember that the kill already happened.
-        victim_index: Iteration index whose owning span triggers the
+        victim_index: Iteration index whose owning shard triggers the
             kill (faults target *work*, not worker identity, so the
             campaign is worker-count independent).
     """
@@ -120,13 +120,13 @@ class CrashOnceSpanTask:
     victim_index: int
 
     def __call__(
-        self, config: "ExperimentConfig", start: int, stop: int
-    ) -> "ExperimentResult":
-        """Run the span, killing this worker first if it is the victim."""
-        from repro.sim.experiment import _run_span
+        self, config: "ExperimentConfig", indices: Sequence[int]
+    ) -> "list[IterationOutcome]":
+        """Run the shard, killing this worker first if it is the victim."""
+        from repro.sim.experiment import _run_shard
 
-        if start <= self.victim_index < stop and not Path(self.sentinel).exists():
+        if self.victim_index in indices and not Path(self.sentinel).exists():
             Path(self.sentinel).touch()
             os.kill(os.getpid(), signal.SIGKILL)
-        return _run_span(config, start, stop)
+        return _run_shard(config, indices)
 

@@ -62,8 +62,8 @@ from repro.core import alp as alp_module
 from repro.core import amp as amp_module
 from repro.sim import (
     ExperimentConfig,
-    ExperimentRunner,
     JobGenerator,
+    ParallelRunner,
     SlotGenerator,
     SlotGeneratorConfig,
 )
@@ -121,7 +121,7 @@ def _run_experiment(
     iterations: int,
     seed: int,
     rho: float,
-    workers: int | None = None,
+    workers: int = 1,
     failures: "FailureConfig | None" = None,
     checkpoint: str | None = None,
     resume: bool = False,
@@ -134,13 +134,9 @@ def _run_experiment(
         rho=rho,
         failures=failures,
     )
-    if workers is not None:
-        from repro.sim import ParallelRunner
-
-        return ParallelRunner(config, workers=workers).run(
-            checkpoint=checkpoint, resume=resume, trace_base=trace_base
-        )
-    return ExperimentRunner(config).run(checkpoint=checkpoint, resume=resume)
+    return ParallelRunner(config, workers=workers).run(
+        checkpoint=checkpoint, resume=resume, trace_base=trace_base
+    )
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -161,8 +157,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     # A parallel run cannot record into the parent's telemetry context
-    # (workers are separate processes), so --workers plus --trace routes
-    # through per-worker shard files instead.
+    # (workers are separate processes), so an explicit --workers plus
+    # --trace routes through per-worker shard files instead.
     trace_base: str | None = None
     if args.workers is not None and getattr(args, "trace", None):
         trace_base = args.trace
@@ -171,7 +167,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         args.iterations,
         args.seed,
         args.rho,
-        workers=args.workers,
+        workers=args.workers if args.workers is not None else 1,
         failures=failures,
         checkpoint=args.checkpoint,
         resume=args.resume,
@@ -496,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "shard the iterations across N processes via the seed-sharded "
-            "ParallelRunner (results are identical for every N; omit for "
-            "the historical single-stream serial runner)"
+            "shard the iterations across N processes (default 1: run "
+            "inline; results are identical for every N); with --trace, an "
+            "explicit --workers writes per-worker trace shards"
         ),
     )
     experiment.add_argument(

@@ -39,7 +39,6 @@ import bisect
 import itertools
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -54,7 +53,6 @@ from repro.obs.telemetry import Telemetry, get_telemetry
 
 __all__ = [
     "Combination",
-    "DPMemo",
     "OptimizationBudget",
     "time_quota",
     "vo_budget",
@@ -401,114 +399,6 @@ def _backward_run(
     return selection, float(f_next[capacity])
 
 
-#: Memo key: extremum direction, bin capacity, and the per-job
-#: ``(g row, z row)`` value pairs — everything :func:`_backward_run`
-#: consumes, nothing else.
-_DPKey = tuple[bool, int, tuple[tuple[tuple[float, ...], tuple[int, ...]], ...]]
-
-
-class DPMemo:
-    """Cross-cycle cache of backward-run DP results (ROADMAP item 3).
-
-    Between metascheduler iterations the slot list changes only
-    incrementally, so consecutive cycles frequently pose phase 2 the
-    *same* multiple-choice knapsack — identical alternative sets,
-    identical quota/budget limit, identical discretization.  The memo
-    keys each solved instance by the **values** the DP consumes — the
-    extremum direction, the bin capacity, and the per-job ``(g, z)``
-    rows — so invalidation is automatic: any change to an alternative
-    set, the limit, or a budget-forced resolution step-down produces a
-    different key and misses.  Infeasible outcomes (``None``) are cached
-    too; re-posing an infeasible instance is as common as re-posing a
-    solvable one.
-
-    Entries are LRU-evicted beyond ``max_entries``.  Hits return a copy
-    of the cached selection, so callers may mutate their result freely.
-
-    Attributes:
-        max_entries: LRU capacity (oldest entries evicted beyond it).
-        enabled: When ``False`` the memo is a transparent pass-through —
-            every run recomputes — which gives tests and ablations a
-            memo-off mode with the identical call surface.
-        hits: Number of lookups answered from the cache.
-        misses: Number of lookups that ran the DP.
-    """
-
-    __slots__ = ("max_entries", "enabled", "hits", "misses", "_entries")
-
-    def __init__(self, max_entries: int = 256, *, enabled: bool = True) -> None:
-        if max_entries < 1:
-            raise OptimizationError(
-                f"max_entries must be >= 1, got {max_entries!r}"
-            )
-        self.max_entries = max_entries
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[_DPKey, tuple[list[int], float] | None] = (
-            OrderedDict()
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every cached table and reset the hit/miss counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> dict[str, int]:
-        """Snapshot of the memo counters (benchmark/diagnostic view)."""
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._entries)}
-
-
-def _memoized_backward_run(
-    g_values: list[list[float]],
-    z_weights: list[list[int]],
-    capacity: int,
-    *,
-    maximize: bool,
-    memo: DPMemo | None,
-    telemetry: Telemetry,
-    label: str,
-) -> tuple[list[int], float] | None:
-    """:func:`_backward_run` through ``memo`` (byte-identical results).
-
-    A hit returns the cached outcome — the same selection indices and
-    extremal value the DP produced when the instance was first posed, so
-    memo-on and memo-off runs are indistinguishable downstream.  Hits
-    and misses are counted on the memo and, when telemetry is enabled,
-    on the ``dp.memo.hits`` / ``dp.memo.misses`` counters.
-    """
-    if memo is None or not memo.enabled:
-        return _backward_run(g_values, z_weights, capacity, maximize=maximize)
-    key: _DPKey = (
-        maximize,
-        capacity,
-        tuple(
-            (tuple(job_g), tuple(job_z))
-            for job_g, job_z in zip(g_values, z_weights)
-        ),
-    )
-    entries = memo._entries
-    if key in entries:
-        entries.move_to_end(key)
-        memo.hits += 1
-        if telemetry.enabled:
-            telemetry.count("dp.memo.hits", 1, objective=label)
-        cached = entries[key]
-        return None if cached is None else (list(cached[0]), cached[1])
-    memo.misses += 1
-    if telemetry.enabled:
-        telemetry.count("dp.memo.misses", 1, objective=label)
-    solved = _backward_run(g_values, z_weights, capacity, maximize=maximize)
-    entries[key] = None if solved is None else (list(solved[0]), solved[1])
-    while len(entries) > memo.max_entries:
-        entries.popitem(last=False)
-    return solved
-
-
 def optimize(
     alternatives: Mapping[Job, Sequence[Window]],
     objective: Criterion,
@@ -516,7 +406,6 @@ def optimize(
     *,
     resolution: int = DEFAULT_RESOLUTION,
     budget: OptimizationBudget | None = None,
-    memo: DPMemo | None = None,
 ) -> Combination:
     """Choose one window per job minimizing ``objective`` under ``limit``.
 
@@ -529,13 +418,6 @@ def optimize(
     a greedy per-job selection is returned.  Either way the result is
     marked ``degraded=True`` and stays feasible — budget exhaustion
     never raises.
-
-    The backward run goes through ``memo`` when one is supplied — see
-    :class:`DPMemo`; a hit reproduces the memo-off outcome exactly.
-    ``memo=None`` (the default) recomputes every run: cross-cycle reuse
-    is an explicit opt-in owned by the caller (each
-    :class:`~repro.core.scheduler.BatchScheduler` holds its own memo),
-    never ambient process state.
 
     Raises:
         InfeasibleConstraintError: When no selection fits the limit
@@ -623,28 +505,12 @@ def optimize(
                     fitted=fitted,
                 )
             began = time.perf_counter()
-            solved = _memoized_backward_run(
-                g_values,
-                z_weights,
-                capacity,
-                maximize=False,
-                memo=memo,
-                telemetry=telemetry,
-                label=objective.value,
-            )
+            solved = _backward_run(g_values, z_weights, capacity, maximize=False)
             telemetry.observe(
                 "phase.seconds", time.perf_counter() - began, phase="phase2.dp"
             )
         else:
-            solved = _memoized_backward_run(
-                g_values,
-                z_weights,
-                capacity,
-                maximize=False,
-                memo=memo,
-                telemetry=telemetry,
-                label=objective.value,
-            )
+            solved = _backward_run(g_values, z_weights, capacity, maximize=False)
         if solved is None:
             if telemetry.enabled:
                 telemetry.count("dp.infeasible", 1, objective=objective.value)
@@ -719,9 +585,9 @@ def _count_dp_run(
     none at all when some job keeps no row (the run returns before the
     fill).  ``dp.rows_dominated`` counts the alternatives dropped before
     the fill — weakly dominated by an earlier row of their job, or
-    heavier than the whole capacity.  The pruning pass is repeated here,
-    not reported by the run, so the counts are the same whether or not
-    a :class:`DPMemo` answers the run.
+    heavier than the whole capacity.  The pruning pass is repeated here
+    rather than reported by the run, which keeps :func:`_backward_run`
+    free of telemetry.
     """
     if not telemetry.enabled:
         return
@@ -745,7 +611,6 @@ def vo_budget(
     *,
     resolution: int = DEFAULT_RESOLUTION,
     budget: OptimizationBudget | None = None,
-    memo: DPMemo | None = None,
 ) -> float:
     """The VO budget ``B*`` of eq. (3).
 
@@ -759,8 +624,6 @@ def vo_budget(
         budget: Optional degradation budget; on exhaustion ``B*`` is
             estimated by a greedy selection instead of the DP (a lower
             bound on the exact income, still quota-feasible).
-        memo: Optional DP memo for the backward run (``None``
-            recomputes; see :class:`DPMemo`).
 
     Raises:
         InfeasibleConstraintError: When even the fastest combination
@@ -839,28 +702,12 @@ def vo_budget(
                     fitted=fitted,
                 )
             began = time.perf_counter()
-            solved = _memoized_backward_run(
-                g_values,
-                z_weights,
-                capacity,
-                maximize=True,
-                memo=memo,
-                telemetry=telemetry,
-                label="budget",
-            )
+            solved = _backward_run(g_values, z_weights, capacity, maximize=True)
             telemetry.observe(
                 "phase.seconds", time.perf_counter() - began, phase="phase2.dp"
             )
         else:
-            solved = _memoized_backward_run(
-                g_values,
-                z_weights,
-                capacity,
-                maximize=True,
-                memo=memo,
-                telemetry=telemetry,
-                label="budget",
-            )
+            solved = _backward_run(g_values, z_weights, capacity, maximize=True)
         if solved is None:
             if telemetry.enabled:
                 telemetry.count("dp.infeasible", 1, objective="budget")
@@ -889,7 +736,6 @@ def minimize_time(
     *,
     resolution: int = DEFAULT_RESOLUTION,
     budget: OptimizationBudget | None = None,
-    memo: DPMemo | None = None,
 ) -> Combination:
     """``min T(s̄)`` subject to ``C(s̄) <= B*`` (the Fig. 4 experiment)."""
     return optimize(
@@ -898,7 +744,6 @@ def minimize_time(
         budget_limit,
         resolution=resolution,
         budget=budget,
-        memo=memo,
     )
 
 
@@ -908,7 +753,6 @@ def minimize_cost(
     *,
     resolution: int = DEFAULT_RESOLUTION,
     budget: OptimizationBudget | None = None,
-    memo: DPMemo | None = None,
 ) -> Combination:
     """``min C(s̄)`` subject to ``T(s̄) <= T*`` (the Fig. 6 experiment)."""
     return optimize(
@@ -917,7 +761,6 @@ def minimize_cost(
         quota,
         resolution=resolution,
         budget=budget,
-        memo=memo,
     )
 
 

@@ -26,7 +26,6 @@ from repro.core.job import Batch, Job
 from repro.core.optimize import (
     DEFAULT_RESOLUTION,
     Combination,
-    DPMemo,
     OptimizationBudget,
     minimize_cost,
     minimize_time,
@@ -68,15 +67,6 @@ class SchedulerConfig:
         budget: Optional deadline/operation budget for phase 2; under
             overload the DP degrades (stepped-down resolution, then a
             greedy per-job selection) instead of stalling the iteration.
-        dp_memo: Cross-cycle DP memo for the phase-2 backward runs;
-            ``None`` (the default) gives every :class:`BatchScheduler`
-            built from this config its **own private** memo — schedulers
-            never share cache state implicitly.  Memo hits reproduce the
-            memo-off result exactly (value-keyed tables; see
-            :class:`~repro.core.optimize.DPMemo`), so this knob only
-            controls *where* the cache lives: pass one ``DPMemo``
-            instance to several configs to opt into explicit sharing, or
-            ``DPMemo(enabled=False)`` to recompute every run.
     """
 
     algorithm: SlotSearchAlgorithm = SlotSearchAlgorithm.AMP
@@ -86,7 +76,6 @@ class SchedulerConfig:
     max_alternatives_per_job: int | None = None
     infeasible_policy: InfeasiblePolicy = InfeasiblePolicy.RAISE
     budget: OptimizationBudget | None = None
-    dp_memo: DPMemo | None = None
 
 
 @dataclass
@@ -142,18 +131,6 @@ class BatchScheduler:
 
     def __init__(self, config: SchedulerConfig | None = None) -> None:
         self.config = config or SchedulerConfig()
-        # Scheduler-local unless the config opts into explicit sharing:
-        # DP cache traffic must never cross scheduler instances
-        # implicitly (that was the old process-wide DEFAULT_DP_MEMO,
-        # retired as the canonical RPR101 shared-state finding).
-        self._dp_memo = (
-            self.config.dp_memo if self.config.dp_memo is not None else DPMemo()
-        )
-
-    @property
-    def dp_memo(self) -> DPMemo:
-        """This scheduler's DP memo (shared only if the config says so)."""
-        return self._dp_memo
 
     def schedule(self, slot_list: SlotList, batch: Batch) -> ScheduleOutcome:
         """Schedule ``batch`` against the vacant ``slot_list``.
@@ -210,14 +187,12 @@ class BatchScheduler:
                         quota,
                         resolution=config.resolution,
                         budget=config.budget,
-                        memo=self._dp_memo,
                     )
                     combination = minimize_time(
                         covered,
                         budget,
                         resolution=config.resolution,
                         budget=config.budget,
-                        memo=self._dp_memo,
                     )
                 else:
                     combination = minimize_cost(
@@ -225,7 +200,6 @@ class BatchScheduler:
                         quota,
                         resolution=config.resolution,
                         budget=config.budget,
-                        memo=self._dp_memo,
                     )
             except InfeasibleConstraintError:
                 if config.infeasible_policy is InfeasiblePolicy.RAISE:

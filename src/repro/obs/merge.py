@@ -41,37 +41,9 @@ __all__ = ["merge_traces", "merge_trace_files", "canonical_trace"]
 #: canonical form because their values can never repeat across runs.
 _TIMING_METRICS = ("span.seconds", "phase.seconds")
 
-#: Cache-warmth counter pairs whose *split* depends on process topology
-#: (a serial run reuses one DP memo across every iteration; each worker
-#: process holds its own), while their *sum* — the number of lookups —
-#: is a property of the schedule alone.  The canonical form folds each
-#: pair into a single ``<prefix>.lookups`` counter so equivalent runs
-#: still pin the invariant part.
-_CACHE_SPLIT_METRICS = ("dp.memo.hits", "dp.memo.misses")
-
 
 def _bare_name(key: str) -> str:
     return key.partition("{")[0]
-
-
-def _fold_cache_splits(metrics: list[dict]) -> list[dict]:
-    """Fold hit/miss counter pairs into topology-invariant lookup totals."""
-    folded: list[dict] = []
-    lookups: dict[str, float] = {}
-    for snapshot in metrics:
-        name = str(snapshot["name"])
-        bare, brace, labels = name.partition("{")
-        if bare in _CACHE_SPLIT_METRICS:
-            prefix = bare.rsplit(".", 1)[0]
-            key = f"{prefix}.lookups{brace}{labels}"
-            lookups[key] = lookups.get(key, 0) + snapshot["value"]
-        else:
-            folded.append(snapshot)
-    folded.extend(
-        {"kind": "counter", "name": name, "value": value}
-        for name, value in lookups.items()
-    )
-    return folded
 
 
 def _merge_histograms(target: dict, extra: dict) -> None:
@@ -189,18 +161,15 @@ def canonical_trace(data: TraceData) -> str:
     Strips everything allowed to differ between equivalent runs — the
     meta header, wall-clock stamps, perf-counter durations and the
     timing histograms they feed, worker ids, and synthetic ``worker``
-    wrapper spans — folds cache hit/miss splits into their
-    topology-invariant lookup totals (:data:`_CACHE_SPLIT_METRICS`), and
-    sorts what remains, so two traces of the same logical run compare
-    byte-for-byte equal no matter how many workers produced them.
+    wrapper spans — and sorts what remains, so two traces of the same
+    logical run compare byte-for-byte equal no matter how many workers
+    produced them.
     """
-    metrics = _fold_cache_splits(
-        [
-            snapshot
-            for snapshot in data.metrics
-            if _bare_name(snapshot["name"]) not in _TIMING_METRICS
-        ]
-    )
+    metrics = [
+        snapshot
+        for snapshot in data.metrics
+        if _bare_name(snapshot["name"]) not in _TIMING_METRICS
+    ]
     metrics.sort(key=lambda snapshot: str(snapshot["name"]))
 
     roots: list[SpanRecord] = []

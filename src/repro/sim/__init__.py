@@ -49,7 +49,6 @@ from repro.sim.experiment import (
     AlgorithmSample,
     ExperimentConfig,
     ExperimentResult,
-    ExperimentRunner,
     IterationComparison,
     IterationOutcome,
     ParallelRunner,
@@ -89,7 +88,6 @@ __all__ = [
     "JobGenerator",
     "JobGeneratorConfig",
     "ExperimentConfig",
-    "ExperimentRunner",
     "ExperimentResult",
     "IterationComparison",
     "IterationOutcome",

@@ -10,8 +10,10 @@ the missing ones.
 Two properties make resumed runs trustworthy:
 
 * **Config fingerprinting** — the journal header carries a hash of the
-  full :class:`~repro.sim.experiment.ExperimentConfig`; resuming against
-  a checkpoint written for different parameters raises
+  full :class:`~repro.sim.experiment.ExperimentConfig` and of the
+  :data:`SERIES_SCHEME` that maps a config to its draws; resuming against
+  a checkpoint written for different parameters, or by an engine that
+  drew a different series, raises
   :class:`~repro.core.errors.CheckpointMismatchError` instead of
   silently merging incompatible series.
 * **Bit-exact replay** — outcomes are stored as JSON, whose ``float``
@@ -52,16 +54,24 @@ __all__ = [
 #: Journal record kind used for completed iterations.
 OUTCOME_KIND = "outcome"
 
+#: How a config becomes a series of draws: iteration ``i`` seeded with
+#: ``derive_iteration_seed(seed, i)``.  Part of every fingerprint, so a
+#: checkpoint written under another scheme (such as the retired
+#: single-stream engine) is refused rather than merged.
+SERIES_SCHEME = "derived-seed/1"
+
 
 def config_fingerprint(config: ExperimentConfig) -> str:
     """Stable hash of every field that shapes an experiment series.
 
     Enum members are replaced by their values and nested dataclasses
     flattened, so the fingerprint depends only on the configuration's
-    *content* — equal configs in different processes hash identically.
+    *content* and the :data:`SERIES_SCHEME` — equal configs in different
+    processes hash identically.
     """
     payload = asdict(config)
     payload["objective"] = config.objective.value
+    payload["series"] = SERIES_SCHEME
     canonical = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
@@ -149,7 +159,8 @@ class ExperimentCheckpoint:
                 if stored != self.fingerprint:
                     raise CheckpointMismatchError(
                         f"checkpoint {str(self.path)!r} was written for a "
-                        f"different experiment configuration (fingerprint "
+                        f"different experiment configuration or series "
+                        f"scheme (fingerprint "
                         f"{stored!r}, expected {self.fingerprint!r}); "
                         "refusing to merge incompatible series"
                     )

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.proc import WorkerSupervisor
@@ -41,7 +41,6 @@ from repro.core.job import Batch
 from repro.core.optimize import (
     DEFAULT_RESOLUTION,
     Combination,
-    DPMemo,
     minimize_cost,
     minimize_time,
     time_quota,
@@ -57,7 +56,6 @@ __all__ = [
     "IterationOutcome",
     "ExperimentConfig",
     "ExperimentResult",
-    "ExperimentRunner",
     "ParallelRunner",
     "derive_iteration_seed",
     "generate_iteration",
@@ -65,11 +63,6 @@ __all__ = [
     "run_pipeline",
     "trace_shard_path",
 ]
-
-#: Result type of one supervised ``pool.map`` (span results or outcome
-#: lists, depending on the calling path).
-_SpanResult = TypeVar("_SpanResult")
-
 
 @dataclass(frozen=True)
 class AlgorithmSample:
@@ -128,8 +121,9 @@ class ExperimentConfig:
             ``T*``).
         iterations: Number of *attempted* scheduling iterations (the
             paper attempts 25 000; benchmarks default lower).
-        seed: Master seed; one RNG drives both generators, so a config
-            is fully reproducible.
+        seed: Master seed.  Iteration ``i`` draws its slots and batch
+            from one RNG seeded with ``derive_iteration_seed(seed, i)``,
+            so a config is fully reproducible in any shard order.
         slot_config / job_config: Generator parameter sets.
         resolution: Phase-2 DP discretization.
         rho: AMP budget-shrink factor (Section 6 extension; 1.0 = paper).
@@ -218,7 +212,7 @@ def run_pipeline(
 
 @dataclass(frozen=True)
 class IterationOutcome:
-    """Result of one attempted scheduling iteration (either runner).
+    """Result of one attempted scheduling iteration.
 
     Exactly one of ``comparison``/``dropped_uncovered``/
     ``dropped_infeasible`` is set/true per outcome.
@@ -232,26 +226,18 @@ class IterationOutcome:
 
 
 def _optimize_search(
-    config: ExperimentConfig,
-    search: SearchResult,
-    memo: "DPMemo | None" = None,
+    config: ExperimentConfig, search: SearchResult
 ) -> AlgorithmSample | None:
     """Phase 2 for one algorithm's search; ``None`` when infeasible."""
     covered = search.alternatives
     quota = time_quota(covered)
     try:
         if config.objective is Criterion.TIME:
-            budget = vo_budget(
-                covered, quota, resolution=config.resolution, memo=memo
-            )
-            combination = minimize_time(
-                covered, budget, resolution=config.resolution, memo=memo
-            )
+            budget = vo_budget(covered, quota, resolution=config.resolution)
+            combination = minimize_time(covered, budget, resolution=config.resolution)
         else:
             budget = None
-            combination = minimize_cost(
-                covered, quota, resolution=config.resolution, memo=memo
-            )
+            combination = minimize_cost(covered, quota, resolution=config.resolution)
     except InfeasibleConstraintError:
         return None
     return AlgorithmSample.from_combination(combination, search, quota, budget)
@@ -262,15 +248,11 @@ def run_iteration(
     index: int,
     slots: SlotList,
     batch: Batch,
-    memo: "DPMemo | None" = None,
 ) -> IterationOutcome:
     """One attempted iteration: both pipelines on identical inputs.
 
-    Pure function of its inputs — the shared building block of
-    :class:`ExperimentRunner` (streamed RNG) and :class:`ParallelRunner`
-    (per-iteration derived seeds).  ``memo`` is the caller-owned DP memo
-    (each runner/worker span holds one); memo hits are byte-identical to
-    recomputation, so the memo never affects results — only speed.
+    Pure function of its inputs: phase 2 starts cold on every call, as
+    the paper's fresh draw per simulated iteration does.
     """
     outcomes = {}
     uncovered = False
@@ -286,7 +268,7 @@ def run_iteration(
         )
     pipelines = {}
     for algorithm, search in outcomes.items():
-        finished = _optimize_search(config, search, memo)
+        finished = _optimize_search(config, search)
         if finished is None:
             return IterationOutcome(
                 slot_count=len(slots), job_count=len(batch), dropped_infeasible=True
@@ -341,7 +323,7 @@ def _open_checkpoint(
     checkpoint: "str | Path | ExperimentCheckpoint | None",
     resume: bool,
 ) -> "ExperimentCheckpoint | None":
-    """Open the optional resume journal for a runner (shared helper).
+    """Open the optional resume journal of a run.
 
     An already-constructed :class:`~repro.sim.checkpoint.ExperimentCheckpoint`
     passes through unchanged — the seam the chaos suite uses to hand the
@@ -355,78 +337,6 @@ def _open_checkpoint(
     if isinstance(checkpoint, ExperimentCheckpoint):
         return checkpoint
     return ExperimentCheckpoint(checkpoint, config, resume=resume)
-
-
-class ExperimentRunner:
-    """Runs an experiment series per :class:`ExperimentConfig`.
-
-    Generation is *streamed*: one RNG, seeded once with ``config.seed``,
-    drives every iteration in sequence — the historical behaviour, kept
-    so existing seeds keep producing the numbers recorded in
-    EXPERIMENTS.md.  For a runner whose draws are independent of
-    iteration order (and therefore shardable across processes), see
-    :class:`ParallelRunner`.
-    """
-
-    def __init__(self, config: ExperimentConfig | None = None) -> None:
-        self.config = config or ExperimentConfig()
-
-    def run(
-        self,
-        *,
-        progress: Callable[[int, int], None] | None = None,
-        checkpoint: "str | Path | ExperimentCheckpoint | None" = None,
-        resume: bool = False,
-    ) -> ExperimentResult:
-        """Execute the series.
-
-        Args:
-            progress: Optional callback ``(attempted_so_far, counted)``
-                invoked after every attempted iteration.
-            checkpoint: Optional path to a resumable checkpoint journal
-                (or an open :class:`~repro.sim.checkpoint.ExperimentCheckpoint`);
-                every completed iteration is appended so a killed run
-                can be resumed.  Without ``resume``, an existing file at
-                a given path is replaced.
-            resume: Skip iterations already recorded in ``checkpoint``,
-                replaying their outcomes from disk.  The generators are
-                still advanced through skipped iterations, so the merged
-                result is identical to an uninterrupted run.
-
-        Raises:
-            CheckpointMismatchError: When resuming against a checkpoint
-                written for a different configuration.
-        """
-        config = self.config
-        store = _open_checkpoint(config, checkpoint, resume)
-        slot_generator = SlotGenerator(config.slot_config, seed=config.seed)
-        job_generator = JobGenerator(config.job_config, rng=slot_generator.rng)
-        accumulator = _SeriesAccumulator()
-        # Run-local DP memo: cross-iteration reuse within this series
-        # only, never ambient process state (hits are byte-identical).
-        memo = DPMemo()
-        try:
-            for attempt in range(config.iterations):
-                # Draws happen unconditionally: the streamed RNG must
-                # advance through completed iterations for the remaining
-                # ones to see the same stream an uninterrupted run would.
-                slots = slot_generator.generate()
-                batch = job_generator.generate()
-                cached = store.get(attempt) if store is not None else None
-                if cached is not None:
-                    outcome = cached
-                else:
-                    slots = _degrade_slots(config, slots, salt=attempt)
-                    outcome = run_iteration(config, attempt, slots, batch, memo)
-                    if store is not None:
-                        store.record(attempt, outcome)
-                accumulator.add(outcome)
-                if progress is not None:
-                    progress(attempt + 1, len(accumulator.samples))
-        finally:
-            if store is not None:
-                store.close()
-        return accumulator.result(config, config.iterations)
 
 
 def derive_iteration_seed(master_seed: int, index: int) -> int:
@@ -446,46 +356,45 @@ def derive_iteration_seed(master_seed: int, index: int) -> int:
 def generate_iteration(config: ExperimentConfig, index: int) -> tuple[SlotList, Batch]:
     """Draw iteration ``index``'s slot list and batch from its own stream.
 
-    Mirrors the serial runner's coupling (one RNG shared by both
-    generators) but re-seeds per iteration via
-    :func:`derive_iteration_seed`.
+    One RNG, seeded with :func:`derive_iteration_seed`, drives both
+    generators.  With ``config.failures`` set, the seeded outage streams
+    (salted with the same seed) are carved out of the slots, so
+    iterations fail independently yet reproducibly, in any process.
     """
     seed = derive_iteration_seed(config.seed, index)
     slot_generator = SlotGenerator(config.slot_config, seed=seed)
     job_generator = JobGenerator(config.job_config, rng=slot_generator.rng)
     slots = slot_generator.generate()
     batch = job_generator.generate()
-    return _degrade_slots(config, slots, salt=seed), batch
+    if config.failures is not None:
+        from repro.grid.resilience import apply_slot_outages
+
+        slots = apply_slot_outages(slots, config.failures, salt=seed)
+    return slots, batch
 
 
-def _degrade_slots(config: ExperimentConfig, slots: SlotList, *, salt: int) -> SlotList:
-    """Carve the config's failure streams out of one iteration's slots.
+def _run_shard(
+    config: ExperimentConfig,
+    indices: Sequence[int],
+    progress: Callable[[int, IterationOutcome], None] | None = None,
+) -> list[IterationOutcome]:
+    """Run the listed iterations of the seeded series, in order (one shard).
 
-    A pure function of ``(config, slots, salt)`` — the salt is the
-    iteration's own seed (parallel path) or index (streamed path), so
-    iterations fail independently yet reproducibly, in any process.
+    Every iteration is a pure function of ``(config, index)``, so a
+    shard may be any index list: the whole series, a contiguous span of
+    it, or the holes a resumed checkpoint left.  ``progress`` receives
+    each ``(index, outcome)`` as it completes; only in-process callers
+    pass one (the checkpoint append and the caller's progress callback
+    hang off it).
     """
-    if config.failures is None:
-        return slots
-    from repro.grid.resilience import apply_slot_outages
-
-    return apply_slot_outages(slots, config.failures, salt=salt)
-
-
-def _run_span(config: ExperimentConfig, start: int, stop: int) -> ExperimentResult:
-    """Run iterations ``[start, stop)`` of the seeded series (one shard).
-
-    The DP memo is span-local: created here, dropped with the span.
-    Worker processes therefore never share cache state — cross-cycle
-    reuse happens within one shard only (memo hits are byte-identical
-    to recomputation, so this is purely a speed matter).
-    """
-    accumulator = _SeriesAccumulator()
-    memo = DPMemo()
-    for index in range(start, stop):
+    outcomes = []
+    for index in indices:
         slots, batch = generate_iteration(config, index)
-        accumulator.add(run_iteration(config, index, slots, batch, memo))
-    return accumulator.result(config, stop - start)
+        outcome = run_iteration(config, index, slots, batch)
+        if progress is not None:
+            progress(index, outcome)
+        outcomes.append(outcome)
+    return outcomes
 
 
 def trace_shard_path(trace_base: str | Path, worker: int) -> Path:
@@ -495,14 +404,13 @@ def trace_shard_path(trace_base: str | Path, worker: int) -> Path:
     return base.with_name(f"{base.stem}.w{worker}{suffix}")
 
 
-def _run_span_traced(
+def _run_shard_traced(
     config: ExperimentConfig,
-    start: int,
-    stop: int,
+    indices: Sequence[int],
     trace_base: str,
     worker: int,
-) -> ExperimentResult:
-    """One *traced* shard: a private telemetry context writing a JSONL shard.
+) -> list[IterationOutcome]:
+    """:func:`_run_shard` in a private telemetry context writing a JSONL shard.
 
     Worker processes cannot share the parent's metric registry, so each
     shard records into its own context and dumps it to
@@ -522,38 +430,17 @@ def _run_span_traced(
     previous = get_telemetry()
     telemetry = configure(context=TraceContext.derive(config.seed, worker=worker))
     try:
-        accumulator = _SeriesAccumulator()
-        memo = DPMemo()
+        outcomes = []
         decisions = telemetry.decisions
-        for index in range(start, stop):
+        for index in indices:
             slots, batch = generate_iteration(config, index)
             with decisions.scope(iteration=index):
                 with telemetry.span("experiment.iteration", index=index):
-                    accumulator.add(run_iteration(config, index, slots, batch, memo))
+                    outcomes.append(run_iteration(config, index, slots, batch))
         write_trace(str(trace_shard_path(trace_base, worker)), telemetry)
-        return accumulator.result(config, stop - start)
+        return outcomes
     finally:
         install(previous)
-
-
-def _run_indices(config: ExperimentConfig, indices: list[int]) -> list[IterationOutcome]:
-    """Run the listed iterations of the seeded series, in the given order.
-
-    The checkpointing counterpart of :func:`_run_span`: a resumed series
-    has *holes* (iterations already on disk), so shards are arbitrary
-    index lists rather than contiguous spans.
-    """
-    outcomes = []
-    memo = DPMemo()
-    for index in indices:
-        slots, batch = generate_iteration(config, index)
-        outcomes.append(run_iteration(config, index, slots, batch, memo))
-    return outcomes
-
-
-def _count_samples(outcomes: dict[int, IterationOutcome]) -> int:
-    """Counted (both-pipelines-succeeded) iterations in an outcome map."""
-    return sum(1 for outcome in outcomes.values() if outcome.comparison is not None)
 
 
 def _shard_spans(iterations: int, shards: int) -> list[tuple[int, int]]:
@@ -569,22 +456,20 @@ def _shard_spans(iterations: int, shards: int) -> list[tuple[int, int]]:
 
 
 class ParallelRunner:
-    """Shards a seeded experiment series across worker processes.
+    """Runs a seeded experiment series, inline or across worker processes.
 
-    Every iteration draws from its own :func:`derive_iteration_seed`
-    stream, so the series is embarrassingly parallel *and* deterministic:
-    for a fixed master seed the merged result — samples, drop counters,
-    per-job outcomes — is byte-identical for any ``workers`` value
-    (``tests/test_experiment.py`` asserts 4 workers ≡ serial).  Note the
-    per-iteration seeding means results differ from
-    :class:`ExperimentRunner`'s single-stream draws for the same master
-    seed; both are fully reproducible, they are just different series.
+    The only experiment engine.  Every iteration draws from its own
+    :func:`derive_iteration_seed` stream, so the series is
+    embarrassingly parallel *and* deterministic: for a fixed master seed
+    the result — samples, drop counters, per-job outcomes — is
+    byte-identical for any ``workers`` value (``tests/test_experiment.py``
+    asserts 4 workers ≡ 1), and for any resume point of a checkpoint.
 
     A worker killed mid-run (OOM killer, operator ``SIGKILL``) breaks
     the whole ``concurrent.futures`` pool; the runner catches that,
     re-derives every shard's seeds, and retries the map on a fresh pool
     under the supervisor's budget — byte-identical to an undisturbed run
-    because shards are pure functions of ``(config, span)``.  A loss
+    because shards are pure functions of ``(config, indices)``.  A loss
     that recurs past the budget raises
     :class:`~repro.core.errors.WorkerLostError` (CLI exit code 2).
     """
@@ -595,10 +480,9 @@ class ParallelRunner:
         *,
         workers: int = 1,
         supervisor: "WorkerSupervisor | None" = None,
-        span_task: "Callable[[ExperimentConfig, int, int], ExperimentResult] | None" = None,
-        dp_memo: "DPMemo | None" = None,
+        span_task: "Callable[[ExperimentConfig, Sequence[int]], list[IterationOutcome]] | None" = None,
     ) -> None:
-        """Configure the sharded runner.
+        """Configure the runner.
 
         Args:
             config: The experiment series to run.
@@ -606,18 +490,11 @@ class ParallelRunner:
             supervisor: Restart budget/backoff for a broken worker pool.
                 Defaults to a single fresh-pool retry
                 (``WorkerSupervisor(max_restarts=1)``).
-            span_task: Replacement for the per-shard span function on the
-                plain (untraced, uncheckpointed) parallel path — the
-                injection seam the chaos engine uses to kill a real
-                worker (:class:`repro.chaos.proc.CrashOnceSpanTask`).
-                Must be picklable and return the same result
-                :func:`_run_span` would.
-            dp_memo: Explicit opt-in DP memo for the *in-process*
-                (``workers=1``, untraced, uncheckpointed) path — lets a
-                caller observe or share cross-run DP cache traffic (the
-                complexity benchmark does).  Worker processes always
-                build their own span-local memo; results never depend on
-                the memo either way.
+            span_task: Replacement for the shard function on the
+                untraced pool path — the injection seam the chaos engine
+                uses to kill a real worker
+                (:class:`repro.chaos.proc.CrashOnceSpanTask`).  Must be
+                picklable and return what :func:`_run_shard` would.
         """
         if workers < 1:
             raise InvalidRequestError(f"workers must be >= 1, got {workers!r}")
@@ -625,7 +502,6 @@ class ParallelRunner:
         self.workers = workers
         self._supervisor = supervisor
         self._span_task = span_task
-        self._dp_memo = dp_memo
 
     def _pool_supervisor(self) -> "WorkerSupervisor":
         """The configured supervisor, or the one-fresh-pool-retry default."""
@@ -637,9 +513,9 @@ class ParallelRunner:
 
     def _map_supervised(
         self,
-        task: "Callable[..., _SpanResult]",
+        task: "Callable[..., list[IterationOutcome]]",
         argument_lists: Sequence[Sequence[object]],
-    ) -> "list[_SpanResult]":
+    ) -> list[list[IterationOutcome]]:
         """``pool.map`` with broken-pool recovery.
 
         A ``SIGKILL``-ed worker surfaces as :class:`BrokenProcessPool`
@@ -684,39 +560,36 @@ class ParallelRunner:
         resume: bool = False,
         trace_base: "str | Path | None" = None,
     ) -> ExperimentResult:
-        """Execute the series across ``workers`` processes.
+        """Execute the series.
 
         Args:
             progress: Optional callback ``(attempted_so_far, counted)``;
-                with multiple workers it fires once per merged shard
-                rather than per iteration.
+                inline it fires after every iteration, with multiple
+                workers once per finished shard.
             checkpoint: Optional path to a resumable checkpoint journal
                 (or an already-open :class:`ExperimentCheckpoint`, which
                 is used as-is); completed iterations are appended (in
-                the parent process) as shards finish.  Without
+                this process) as they or their shards finish.  Without
                 ``resume``, an existing file is replaced.
             resume: Skip iterations already recorded in ``checkpoint``.
                 Per-iteration derived seeds make every iteration
-                independent, so only the missing indices run; the merged
-                result is identical to an uninterrupted run for any
-                worker count.
+                independent, so only the missing indices run; the result
+                is identical to an uninterrupted run for any worker
+                count.
             trace_base: Record a telemetry trace of every shard.  Each
                 worker writes :func:`trace_shard_path` (``trace.jsonl`` →
                 ``trace.w0.jsonl`` …) from its own context; merge the
                 shards with ``repro stats --merge`` or
-                :func:`repro.obs.merge.merge_trace_files`.  For
-                comparability, ``workers=1`` runs through the very same
-                traced shard function (producing a single ``.w0`` shard).
-                Mutually exclusive with ``checkpoint``.
+                :func:`repro.obs.merge.merge_trace_files`.  ``workers=1``
+                runs the same traced shard function inline (one ``.w0``
+                shard).  Mutually exclusive with ``checkpoint``.
 
         Raises:
             CheckpointMismatchError: When resuming against a checkpoint
-                written for a different configuration.
+                written for a different configuration or series scheme.
             InvalidRequestError: When ``trace_base`` is combined with
                 ``checkpoint``.
         """
-        from repro.sim.stats import merge_results
-
         config = self.config
         if trace_base is not None and checkpoint is not None:
             raise InvalidRequestError(
@@ -724,96 +597,70 @@ class ParallelRunner:
                 "series has holes, so its shards would not form one trace"
             )
         store = _open_checkpoint(config, checkpoint, resume)
-        if store is not None:
-            try:
-                return self._run_checkpointed(store, progress)
-            finally:
-                store.close()
-        if self.workers == 1:
-            if trace_base is not None:
-                result = _run_span_traced(
-                    config, 0, config.iterations, str(trace_base), 0
-                )
-                if progress is not None:
-                    progress(result.attempted, result.counted)
-                return result
-            accumulator = _SeriesAccumulator()
-            memo = self._dp_memo if self._dp_memo is not None else DPMemo()
-            for index in range(config.iterations):
-                slots, batch = generate_iteration(config, index)
-                accumulator.add(run_iteration(config, index, slots, batch, memo))
-                if progress is not None:
-                    progress(index + 1, len(accumulator.samples))
-            return accumulator.result(config, config.iterations)
-        spans = _shard_spans(config.iterations, self.workers)
-        if trace_base is not None:
-            shards = self._map_supervised(
-                _run_span_traced,
-                (
-                    [config] * len(spans),
-                    [span[0] for span in spans],
-                    [span[1] for span in spans],
-                    [str(trace_base)] * len(spans),
-                    list(range(len(spans))),
-                ),
-            )
-        else:
-            shards = self._map_supervised(
-                self._span_task if self._span_task is not None else _run_span,
-                (
-                    [config] * len(spans),
-                    [span[0] for span in spans],
-                    [span[1] for span in spans],
-                ),
-            )
-        if progress is not None:
-            attempted = 0
-            counted = 0
-            for shard in shards:
-                attempted += shard.attempted
-                counted += shard.counted
-                progress(attempted, counted)
-        return merge_results(shards, config=config)
+        outcomes: dict[int, IterationOutcome] = (
+            dict(store.outcomes) if store is not None else {}
+        )
+        counted = sum(1 for done in outcomes.values() if done.comparison is not None)
 
-    def _run_checkpointed(
-        self,
-        store: "ExperimentCheckpoint",
-        progress: Callable[[int, int], None] | None,
-    ) -> ExperimentResult:
-        """Run only the iterations missing from ``store``, then fold all.
+        def finish(index: int, outcome: IterationOutcome) -> None:
+            nonlocal counted
+            if store is not None:
+                store.record(index, outcome)
+            outcomes[index] = outcome
+            if outcome.comparison is not None:
+                counted += 1
 
-        Outcomes are folded strictly in index order — recorded and fresh
-        alike — so the result is byte-identical to an uninterrupted run
-        regardless of where the previous run died or how many workers
-        compute the remainder.
-        """
-        config = self.config
-        outcomes: dict[int, IterationOutcome] = dict(store.outcomes)
+        def finish_and_report(index: int, outcome: IterationOutcome) -> None:
+            finish(index, outcome)
+            if progress is not None:
+                progress(len(outcomes), counted)
+
         remaining = [
             index for index in range(config.iterations) if index not in outcomes
         ]
-        if self.workers == 1 or len(remaining) <= 1:
-            memo = DPMemo()
-            for index in remaining:
-                slots, batch = generate_iteration(config, index)
-                outcome = run_iteration(config, index, slots, batch, memo)
-                store.record(index, outcome)
-                outcomes[index] = outcome
-                if progress is not None:
-                    progress(len(outcomes), _count_samples(outcomes))
-        else:
-            spans = _shard_spans(len(remaining), self.workers)
-            chunks = [remaining[start:stop] for start, stop in spans]
-            chunk_results = self._map_supervised(
-                _run_indices, ([config] * len(chunks), chunks)
-            )
-            for chunk, results in zip(chunks, chunk_results):
-                for index, outcome in zip(chunk, results):
-                    store.record(index, outcome)
-                    outcomes[index] = outcome
-                if progress is not None:
-                    progress(len(outcomes), _count_samples(outcomes))
+        try:
+            if trace_base is None and (self.workers == 1 or len(remaining) <= 1):
+                _run_shard(config, remaining, finish_and_report)
+            else:
+                for chunk, shard in self._run_chunks(remaining, trace_base):
+                    for index, outcome in zip(chunk, shard):
+                        finish(index, outcome)
+                    if progress is not None:
+                        progress(len(outcomes), counted)
+        finally:
+            if store is not None:
+                store.close()
+        # Fold strictly in index order — recorded and fresh outcomes
+        # alike — so the result does not depend on where a previous run
+        # died or how many workers computed the rest.
         accumulator = _SeriesAccumulator()
         for index in range(config.iterations):
             accumulator.add(outcomes[index])
         return accumulator.result(config, config.iterations)
+
+    def _run_chunks(
+        self, remaining: list[int], trace_base: "str | Path | None"
+    ) -> list[tuple[list[int], list[IterationOutcome]]]:
+        """Split ``remaining`` into one chunk per worker and run them.
+
+        Returns each chunk with its outcomes, in index order.  A traced
+        series with one worker (or one iteration) runs inline as the
+        single ``.w0`` shard.
+        """
+        config = self.config
+        if self.workers == 1 or len(remaining) <= 1:
+            shard = _run_shard_traced(config, remaining, str(trace_base), 0)
+            return [(remaining, shard)]
+        spans = _shard_spans(len(remaining), self.workers)
+        chunks = [remaining[start:stop] for start, stop in spans]
+        count = len(chunks)
+        if trace_base is None:
+            shards = self._map_supervised(
+                self._span_task or _run_shard, ([config] * count, chunks)
+            )
+        else:
+            shards = self._map_supervised(
+                _run_shard_traced,
+                ([config] * count, chunks, [str(trace_base)] * count, list(range(count))),
+            )
+        return list(zip(chunks, shards))

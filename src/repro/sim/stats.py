@@ -139,11 +139,9 @@ def merge_results(
 ) -> ExperimentResult:
     """Merge shard results of one sharded series into a single result.
 
-    Shards must be given in iteration order (the
-    :class:`~repro.sim.experiment.ParallelRunner` submits and collects
-    them that way); samples are concatenated and the counters summed, so
-    the merged result is identical to running the whole series in one
-    process.
+    Shards must be given in iteration order; samples are concatenated
+    and the counters summed, so the merged result is identical to
+    running the whole series at once.
 
     Args:
         shards: Per-shard results, in series order.

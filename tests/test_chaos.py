@@ -181,7 +181,7 @@ class TestCrashPointSweeps:
 class _KillAlwaysTask:
     """Span task whose worker always SIGKILLs itself — never recovers."""
 
-    def __call__(self, config, start, stop):
+    def __call__(self, config, indices):
         os.kill(os.getpid(), signal.SIGKILL)
 
 

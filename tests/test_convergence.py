@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Criterion, InvalidRequestError
-from repro.sim import ExperimentConfig, ExperimentRunner
+from repro.sim import ExperimentConfig, ParallelRunner
 from repro.sim.convergence import (
     ConvergencePoint,
     convergence_track,
@@ -17,7 +17,7 @@ from repro.sim.convergence import (
 @pytest.fixture(scope="module")
 def result():
     config = ExperimentConfig(objective=Criterion.TIME, iterations=120, seed=606, resolution=400)
-    return ExperimentRunner(config).run()
+    return ParallelRunner(config).run()
 
 
 class TestTrack:

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.errors import CheckpointMismatchError
+from repro.core.journal import JournalWriter
 from repro.sim import (
     ExperimentCheckpoint,
     ExperimentConfig,
-    ExperimentRunner,
     ParallelRunner,
     config_fingerprint,
     decode_outcome,
@@ -50,9 +54,49 @@ class TestOutcomeCodec:
         )
 
 
+def config_only_fingerprint(config: ExperimentConfig) -> str:
+    """The header fingerprint of checkpoints written before the series
+    scheme was fingerprinted: a hash of the config content alone."""
+    payload = asdict(config)
+    payload["objective"] = config.objective.value
+    canonical = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
+class TestSeriesScheme:
+    """A checkpoint only resumes under the series scheme that wrote it."""
+
+    def write_untagged_checkpoint(self, path: Path) -> None:
+        with JournalWriter(
+            path, fsync=False, header={"fingerprint": config_only_fingerprint(CONFIG)}
+        ) as writer:
+            writer.append(
+                "outcome",
+                {"index": 0, "outcome": encode_outcome(compute_outcome(CONFIG, 0))},
+            )
+
+    def test_untagged_checkpoint_is_refused(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        self.write_untagged_checkpoint(path)
+        for workers in (1, 2):
+            with pytest.raises(CheckpointMismatchError, match="series scheme"):
+                ParallelRunner(CONFIG, workers=workers).run(
+                    checkpoint=path, resume=True
+                )
+
+    def test_untagged_checkpoint_exits_2_from_cli(self, tmp_path, capsys):
+        path = tmp_path / "old.jsonl"
+        self.write_untagged_checkpoint(path)
+        argv = ["experiment", "--iterations", "18", "--seed", "41"]
+        assert main(argv + ["--checkpoint", str(path), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "error: checkpoint" in err
+        assert "series scheme" in err
+
+
 class TestSerialResume:
     def test_resume_equals_uninterrupted(self, tmp_path):
-        reference = ExperimentRunner(CONFIG).run()
+        reference = ParallelRunner(CONFIG).run()
         # Simulate a crash: checkpoint only the first 10 iterations.
         partial = tmp_path / "partial.jsonl"
         interrupted = 0
@@ -64,42 +108,42 @@ class TestSerialResume:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            ExperimentRunner(CONFIG).run(checkpoint=partial, progress=killer)
+            ParallelRunner(CONFIG).run(checkpoint=partial, progress=killer)
         assert interrupted == 10
-        resumed = ExperimentRunner(CONFIG).run(checkpoint=partial, resume=True)
+        resumed = ParallelRunner(CONFIG).run(checkpoint=partial, resume=True)
         assert resumed == reference
 
     def test_resume_skips_finished_work(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        ExperimentRunner(CONFIG).run(checkpoint=path)
+        ParallelRunner(CONFIG).run(checkpoint=path)
         store = ExperimentCheckpoint(path, CONFIG, resume=True)
         assert store.completed == CONFIG.iterations
         store.close()
         # A fully-checkpointed resume recomputes nothing: the journal is
         # not appended to, and the result still matches a plain run.
         before = path.read_bytes()
-        result = ExperimentRunner(CONFIG).run(checkpoint=path, resume=True)
-        assert result == ExperimentRunner(CONFIG).run()
+        result = ParallelRunner(CONFIG).run(checkpoint=path, resume=True)
+        assert result == ParallelRunner(CONFIG).run()
         assert path.read_bytes() == before
 
     def test_fresh_run_replaces_existing_checkpoint(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         other = ExperimentConfig(iterations=4, seed=999)
-        ExperimentRunner(other).run(checkpoint=path)
+        ParallelRunner(other).run(checkpoint=path)
         # Same path, different config, no --resume: starts over cleanly.
-        result = ExperimentRunner(CONFIG).run(checkpoint=path)
-        assert result == ExperimentRunner(CONFIG).run()
+        result = ParallelRunner(CONFIG).run(checkpoint=path)
+        assert result == ParallelRunner(CONFIG).run()
 
     def test_resume_with_wrong_config_is_rejected(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        ExperimentRunner(CONFIG).run(checkpoint=path)
+        ParallelRunner(CONFIG).run(checkpoint=path)
         other = ExperimentConfig(iterations=18, seed=999)
         with pytest.raises(CheckpointMismatchError, match="different experiment"):
-            ExperimentRunner(other).run(checkpoint=path, resume=True)
+            ParallelRunner(other).run(checkpoint=path, resume=True)
 
     def test_resume_tolerates_torn_checkpoint_tail(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        ExperimentRunner(CONFIG).run(checkpoint=path)
+        ParallelRunner(CONFIG).run(checkpoint=path)
         # Tear the last record in half, as a SIGKILL mid-append would.
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
@@ -108,9 +152,9 @@ class TestSerialResume:
             encoding="utf-8",
         )
         with pytest.warns(UserWarning, match="torn trailing journal record"):
-            result = ExperimentRunner(CONFIG).run(checkpoint=path, resume=True)
+            result = ParallelRunner(CONFIG).run(checkpoint=path, resume=True)
         # The torn iteration was simply recomputed.
-        assert result == ExperimentRunner(CONFIG).run()
+        assert result == ParallelRunner(CONFIG).run()
 
 
 class TestParallelResume:

@@ -11,7 +11,7 @@ import pytest
 from repro.core import Criterion
 from repro.sim import (
     ExperimentConfig,
-    ExperimentRunner,
+    ParallelRunner,
     figure4,
     figure5,
     figure_to_dict,
@@ -30,7 +30,7 @@ def result():
     config = ExperimentConfig(
         objective=Criterion.TIME, iterations=30, seed=2024, resolution=300
     )
-    return ExperimentRunner(config).run()
+    return ParallelRunner(config).run()
 
 
 class TestCsvExport:

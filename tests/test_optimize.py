@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    Batch,
     Criterion,
     InfeasibleConstraintError,
     Job,
     OptimizationError,
     ResourceRequest,
     Slot,
+    SlotList,
     TaskAllocation,
     Window,
 )
 from repro.core.optimize import (
+    OptimizationBudget,
     brute_force,
     minimize_cost,
     minimize_time,
@@ -27,7 +30,9 @@ from repro.core.optimize import (
     vo_budget,
 )
 
-from tests.conftest import make_resource
+from repro.core.scheduler import BatchScheduler, SchedulerConfig
+from repro.core.search import find_alternatives
+from tests.conftest import make_random_batch, make_random_slot_list, make_resource
 
 
 def _window(price: float, volume: float, start: float = 0.0) -> Window:
@@ -295,3 +300,70 @@ def test_minimize_time_under_vo_budget_always_feasible():
             continue  # quota itself infeasible: iteration dropped upstream
         combo = minimize_time(alts, budget, resolution=max(1, int(budget)))
         assert combo.total_cost <= budget + 1e-9
+
+
+def _covered_alternatives(seed: int) -> dict[Job, list[Window]]:
+    """Phase-1 alternatives for a seeded instance (covered jobs only)."""
+    result = find_alternatives(make_random_slot_list(seed), make_random_batch(seed))
+    return {job: windows for job, windows in result.alternatives.items() if windows}
+
+
+def _combination_key(combination):
+    """Value identity of a phase-2 outcome (window object ids aside)."""
+    return (
+        combination.total_cost,
+        combination.total_time,
+        sorted(
+            (job.name, window.start, window.cost)
+            for job, window in combination.selection.items()
+        ),
+    )
+
+
+class TestColdPhaseTwo:
+    """Phase 2 keeps no state between runs: every call solves afresh."""
+
+    def test_budget_stepdown_equals_run_at_fitted_resolution(self):
+        covered = _covered_alternatives(4)
+        quota = time_quota(covered)
+        total = sum(len(windows) for windows in covered.values())
+        # 101 cells per alternative fit 100 bins: 400 halves to 100.
+        budget = OptimizationBudget(max_cells=total * 101, min_resolution=50)
+        stepped = optimize(covered, Criterion.COST, quota, resolution=400, budget=budget)
+        assert stepped.degraded
+        direct = optimize(covered, Criterion.COST, quota, resolution=100)
+        assert not direct.degraded
+        assert _combination_key(stepped) == _combination_key(direct)
+
+    def test_infeasible_instance_raises_on_every_call(self):
+        resource = make_resource("solo", performance=1.0, price=1.0)
+        job = Job(ResourceRequest(node_count=1, volume=10.0), name="j0")
+        windows = find_alternatives(
+            # One slot, one job, one window of length 10.
+            SlotList([Slot(resource, 0.0, 10.0)]),
+            Batch([job]),
+        ).alternatives[job]
+        for _ in range(2):
+            with pytest.raises(InfeasibleConstraintError) as raised:
+                optimize({job: windows}, Criterion.COST, 1.0)
+            assert raised.value.limit == 1.0
+            assert raised.value.best == 10.0
+
+    @pytest.mark.parametrize("objective", [Criterion.TIME, Criterion.COST])
+    def test_repeated_cycles_match_a_fresh_scheduler(self, objective):
+        scheduler = BatchScheduler(SchedulerConfig(objective=objective))
+        for seed in range(8):
+            slots = make_random_slot_list(seed)
+            batch = make_random_batch(seed)
+            fresh = BatchScheduler(SchedulerConfig(objective=objective)).schedule(
+                slots, batch
+            )
+            # Two cycles on the same instance: the second must not see
+            # anything the first left behind.
+            for _ in range(2):
+                outcome = scheduler.schedule(slots, batch)
+                assert outcome.quota == fresh.quota
+                assert outcome.budget == fresh.budget
+                assert _combination_key(outcome.combination) == _combination_key(
+                    fresh.combination
+                )
